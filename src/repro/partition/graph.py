@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,6 +58,10 @@ class Graph:
     def neighbor_weights(self, v: int) -> np.ndarray:
         return self.ewgt[self.xadj[v] : self.xadj[v + 1]]
 
+    def sources(self) -> np.ndarray:
+        """Source vertex of every CSR entry (the row each entry sits in)."""
+        return np.repeat(np.arange(self.num_vertices, dtype=np.int64), np.diff(self.xadj))
+
     def degree(self, v: int) -> int:
         return int(self.xadj[v + 1] - self.xadj[v])
 
@@ -64,22 +69,24 @@ class Graph:
         return float(self.vwgt.sum())
 
     def subgraph(self, vertices: np.ndarray) -> Tuple["Graph", np.ndarray]:
-        """Induced subgraph; returns (graph, original-ids of its vertices)."""
+        """Induced subgraph; returns (graph, original-ids of its vertices).
+
+        Vertex ``i`` of the subgraph is ``vertices[i]``; each row keeps the
+        surviving entries of the original row, in their original order.
+        """
         vertices = np.asarray(vertices, dtype=np.int64)
-        remap = {int(v): i for i, v in enumerate(vertices)}
-        xadj = [0]
-        adjncy: List[int] = []
-        ewgt: List[float] = []
-        for v in vertices:
-            for u, w in zip(self.neighbors(v), self.neighbor_weights(v)):
-                j = remap.get(int(u))
-                if j is not None:
-                    adjncy.append(j)
-                    ewgt.append(float(w))
-            xadj.append(len(adjncy))
+        remap = np.full(self.num_vertices, -1, dtype=np.int64)
+        remap[vertices] = np.arange(len(vertices))
+        lens = np.diff(self.xadj)[vertices]
+        row = np.repeat(np.arange(len(vertices)), lens)
+        # CSR positions of the selected rows, row after row
+        entry = np.arange(len(row)) + np.repeat(self.xadj[vertices] - (np.cumsum(lens) - lens), lens)
+        target = remap[self.adjncy[entry]]
+        keep = target >= 0
+        xadj = np.concatenate(([0], np.cumsum(np.bincount(row[keep], minlength=len(vertices)))))
         coords = None if self.coords is None else self.coords[vertices]
         return (
-            Graph(np.asarray(xadj), np.asarray(adjncy), self.vwgt[vertices], np.asarray(ewgt), coords),
+            Graph(xadj, target[keep], self.vwgt[vertices], self.ewgt[entry[keep]], coords),
             vertices,
         )
 
@@ -101,19 +108,20 @@ class Graph:
 
 
 def mesh_dual_graph(mesh: TriMesh, weights: Optional[Dict[int, float]] = None) -> Tuple[Graph, List[int]]:
-    """Dual graph of the alive mesh; returns (graph, tids in node order)."""
+    """Dual graph of the alive mesh; returns (graph, tids in node order).
+
+    Node ``i`` is element ``tids[i]`` at its centroid; its neighbours are
+    listed in ascending node order.  Works for 2-D and 3-D meshes.
+    """
     from repro.mesh.dual import dual_graph
 
     tids, adj = dual_graph(mesh)
-    index = {t: i for i, t in enumerate(tids)}
-    verts = mesh.verts_array()
-    coords = np.zeros((len(tids), verts.shape[1]))
-    vwgt = np.ones(len(tids))
-    relabelled: Dict[int, List[int]] = {}
-    for i, t in enumerate(tids):
-        relabelled[i] = sorted(index[u] for u in adj[t])
-        tri = mesh.tri_verts(t)
-        coords[i] = verts[list(tri)].mean(axis=0)
-        if weights is not None:
-            vwgt[i] = weights.get(t, 1.0)
-    return Graph.from_adjacency(relabelled, vwgt=vwgt, coords=coords), tids
+    lens = [len(adj[t]) for t in tids]
+    # tids ascend and every adjacency list is sorted, so node ids are too
+    adjncy = np.searchsorted(
+        tids, np.fromiter(itertools.chain.from_iterable(adj[t] for t in tids), np.int64, sum(lens))
+    )
+    corners = np.asarray([mesh.tri_verts(t) for t in tids], dtype=np.int64)
+    coords = mesh.verts_array()[corners].mean(axis=1)
+    vwgt = None if weights is None else np.asarray([weights.get(t, 1.0) for t in tids], dtype=np.float64)
+    return Graph(np.concatenate(([0], np.cumsum(lens))), adjncy, vwgt=vwgt, coords=coords), tids

@@ -15,13 +15,10 @@ __all__ = ["edge_cut", "imbalance", "part_weights", "PartitionSummary", "partiti
 def edge_cut(graph: Graph, part: np.ndarray) -> float:
     """Total weight of edges whose endpoints lie in different parts."""
     part = np.asarray(part)
-    cut = 0.0
-    for v in range(graph.num_vertices):
-        pv = part[v]
-        for u, w in zip(graph.neighbors(v), graph.neighbor_weights(v)):
-            if part[u] != pv:
-                cut += float(w)
-    return cut / 2.0  # each cut edge visited from both sides
+    cut = graph.ewgt[part[graph.sources()] != part[graph.adjncy]]
+    # cumsum adds in CSR order, like a scalar loop; .sum() would not
+    total = float(np.cumsum(cut)[-1]) if len(cut) else 0.0
+    return total / 2.0  # each cut edge visited from both sides
 
 
 def part_weights(graph: Graph, part: np.ndarray, nparts: int) -> np.ndarray:

@@ -2,11 +2,19 @@
 greedy graph-growing initial partition, and KL/FM boundary refinement during
 uncoarsening.  K-way partitions come from recursive bisection with
 proportional weight targets.
+
+Everything works on the CSR arrays: the sequential sweeps (matching, BFS
+growth) walk plain Python lists, the rest is NumPy.  Every floating-point
+sum adds in CSR order starting from 0.0, as a scalar loop would
+(``np.bincount`` accumulates that way; ``np.add.reduce`` and
+``np.add.reduceat`` sum pairwise), so partitions do not change with
+non-integer weights either.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import List, Tuple
 
 import numpy as np
 
@@ -26,39 +34,35 @@ def heavy_edge_matching(graph: Graph, seed: int = 0) -> np.ndarray:
 
     Returns ``match`` with ``match[v] == u`` (and ``match[u] == v``);
     unmatched vertices map to themselves.  Visit order is randomised (but
-    seeded) to avoid systematic bias.
+    seeded) to avoid systematic bias; ties go to the first neighbour in
+    CSR order.
     """
-    n = graph.num_vertices
-    match = np.full(n, -1, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    for v in rng.permutation(n):
+    xadj, adjncy, ewgt = graph.xadj.tolist(), graph.adjncy.tolist(), graph.ewgt.tolist()
+    match = [-1] * graph.num_vertices
+    for v in np.random.default_rng(seed).permutation(graph.num_vertices).tolist():
         if match[v] != -1:
             continue
-        best, best_w = -1, -np.inf
-        for u, w in zip(graph.neighbors(v), graph.neighbor_weights(v)):
-            if match[u] == -1 and u != v and w > best_w:
-                best, best_w = int(u), float(w)
-        if best >= 0:
-            match[v] = best
-            match[best] = v
-        else:
-            match[v] = v
-    return match
+        best, best_w = v, -np.inf
+        for i in range(xadj[v], xadj[v + 1]):
+            u = adjncy[i]
+            if match[u] == -1 and u != v and ewgt[i] > best_w:
+                best, best_w = u, ewgt[i]
+        match[v] = best
+        match[best] = v
+    return np.asarray(match, dtype=np.int64)
 
 
 def coarsen_graph(graph: Graph, match: np.ndarray) -> Tuple[Graph, np.ndarray]:
-    """Contract matched pairs; returns (coarse graph, fine->coarse map)."""
+    """Contract matched pairs; returns (coarse graph, fine->coarse map).
+
+    Coarse vertices are numbered in order of their lowest fine vertex;
+    each coarse row lists its neighbours in ascending order, and parallel
+    fine edges are summed in fine CSR order.
+    """
     n = graph.num_vertices
-    cmap = np.full(n, -1, dtype=np.int64)
-    nc = 0
-    for v in range(n):
-        if cmap[v] != -1:
-            continue
-        u = match[v]
-        cmap[v] = nc
-        if u != v:
-            cmap[u] = nc
-        nc += 1
+    reps, cmap = np.unique(np.minimum(np.arange(n), match), return_inverse=True)
+    cmap = cmap.astype(np.int64)
+    nc = len(reps)
     vwgt = np.zeros(nc)
     np.add.at(vwgt, cmap, graph.vwgt)
     coords = None
@@ -68,79 +72,59 @@ def coarsen_graph(graph: Graph, match: np.ndarray) -> Tuple[Graph, np.ndarray]:
         np.add.at(coords, cmap, graph.coords)
         np.add.at(counts, cmap, 1.0)
         coords /= counts[:, None]
-    # accumulate coarse edges
-    edges = {}
-    for v in range(n):
-        cv = cmap[v]
-        for u, w in zip(graph.neighbors(v), graph.neighbor_weights(v)):
-            cu = cmap[u]
-            if cu == cv:
-                continue
-            key = (cv, cu)
-            edges[key] = edges.get(key, 0.0) + float(w)
-    xadj = [0]
-    adjncy: List[int] = []
-    ewgt: List[float] = []
-    by_src: List[List[Tuple[int, float]]] = [[] for _ in range(nc)]
-    for (cv, cu), w in edges.items():
-        by_src[cv].append((cu, w))
-    for cv in range(nc):
-        for cu, w in sorted(by_src[cv]):
-            adjncy.append(cu)
-            ewgt.append(w)
-        xadj.append(len(adjncy))
-    coarse = Graph(np.asarray(xadj), np.asarray(adjncy), vwgt, np.asarray(ewgt), coords)
-    return coarse, cmap
+    cv = cmap[graph.sources()]
+    cu = cmap[graph.adjncy]
+    cross = cv != cu
+    keys, slot = np.unique(cv[cross] * nc + cu[cross], return_inverse=True)
+    ewgt = np.bincount(slot, weights=graph.ewgt[cross], minlength=len(keys))
+    xadj = np.concatenate(([0], np.cumsum(np.bincount(keys // nc, minlength=nc))))
+    return Graph(xadj, keys % nc, vwgt, ewgt, coords), cmap
 
 
 def _greedy_grow(graph: Graph, target: float, seed: int) -> np.ndarray:
-    """Initial bisection: BFS-grow part 0 from a boundary-ish vertex."""
+    """Initial bisection: BFS-grow part 0 from a pseudo-peripheral vertex."""
     n = graph.num_vertices
     part = np.ones(n, dtype=np.int64)
     if n == 0:
         return part
-    rng = np.random.default_rng(seed)
-    start = int(rng.integers(n))
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
+    start = int(np.random.default_rng(seed).integers(n))
     # pseudo-peripheral: walk to the farthest vertex from a random start
     for _ in range(2):
-        dist = _bfs_dist(graph, start)
-        start = int(np.argmax(np.where(np.isfinite(dist), dist, -1)))
+        dist = _bfs_dist(xadj, adjncy, start)
+        start = dist.index(max(dist))
+    vwgt = graph.vwgt.tolist()
     grown = 0.0
-    frontier = [start]
-    in_zero = np.zeros(n, dtype=bool)
+    frontier = deque([start])
+    in_zero = [False] * n
     while frontier and grown < target:
-        # pick the frontier vertex with max connection into part 0
-        v = frontier.pop(0)
+        v = frontier.popleft()
         if in_zero[v]:
             continue
         in_zero[v] = True
-        part[v] = 0
-        grown += graph.vwgt[v]
-        for u in graph.neighbors(v):
-            if not in_zero[u]:
-                frontier.append(int(u))
-    if grown < target:  # disconnected graph: top up with any vertices
-        for v in range(n):
-            if grown >= target:
-                break
-            if not in_zero[v]:
-                in_zero[v] = True
-                part[v] = 0
-                grown += graph.vwgt[v]
+        grown += vwgt[v]
+        frontier.extend(u for u in adjncy[xadj[v] : xadj[v + 1]] if not in_zero[u])
+    for v in range(n):  # disconnected graph: top up with any vertices
+        if grown >= target:
+            break
+        if not in_zero[v]:
+            in_zero[v] = True
+            grown += vwgt[v]
+    part[np.asarray(in_zero)] = 0
     return part
 
 
-def _bfs_dist(graph: Graph, start: int) -> np.ndarray:
-    n = graph.num_vertices
-    dist = np.full(n, np.inf)
+def _bfs_dist(xadj: List[int], adjncy: List[int], start: int) -> List[int]:
+    """Hop distance from ``start``; -1 for unreachable vertices."""
+    dist = [-1] * (len(xadj) - 1)
     dist[start] = 0
-    queue = [start]
+    queue = deque([start])
     while queue:
-        v = queue.pop(0)
-        for u in graph.neighbors(v):
-            if not np.isfinite(dist[u]):
+        v = queue.popleft()
+        for u in adjncy[xadj[v] : xadj[v + 1]]:
+            if dist[u] < 0:
                 dist[u] = dist[v] + 1
-                queue.append(int(u))
+                queue.append(u)
     return dist
 
 
@@ -155,45 +139,57 @@ def fm_refine(
     Greedy gain passes: move the best-gain movable boundary vertex whose
     move keeps both sides within ``_BALANCE_TOL`` of target, lock it, and
     repeat; a pass with no accepted positive-or-balancing move ends the
-    refinement.
+    refinement.  Ties go to the lowest vertex id.
+
+    Gains are computed for every vertex at the start of a pass; after a
+    move only the moved vertex's neighbours are recomputed, each from its
+    own row so the sums match a fresh computation bit for bit.
     """
+    n = graph.num_vertices
+    if n == 0:
+        return part
+    xadj, adjncy, ewgt = graph.xadj.tolist(), graph.adjncy.tolist(), graph.ewgt.tolist()
+    vwgt = graph.vwgt
+    rows = graph.sources()
     weights = np.zeros(2)
-    np.add.at(weights, part, graph.vwgt)
-    limits = (targets[0] * _BALANCE_TOL, targets[1] * _BALANCE_TOL)
+    np.add.at(weights, part, vwgt)
+    limits = np.array(targets) * _BALANCE_TOL
 
     for _ in range(passes):
-        locked = np.zeros(graph.num_vertices, dtype=bool)
+        side = part.tolist()
+        same = part[rows] == part[graph.adjncy]
+        internal = np.bincount(rows, weights=np.where(same, graph.ewgt, 0.0), minlength=n)
+        external = np.bincount(rows, weights=np.where(same, 0.0, graph.ewgt), minlength=n)
+        # gain of moving each vertex; -inf marks locked and interior vertices
+        gain = np.where((external == 0.0) & (internal > 0.0), -np.inf, external - internal)
+        locked = [False] * n
+        dest = 1 - part
         improved = False
         while True:
-            best_v, best_gain = -1, -np.inf
-            for v in range(graph.num_vertices):
-                if locked[v]:
-                    continue
-                pv = part[v]
-                ext = int_ = 0.0
-                for u, w in zip(graph.neighbors(v), graph.neighbor_weights(v)):
-                    if part[u] == pv:
-                        int_ += w
-                    else:
-                        ext += w
-                if ext == 0.0 and int_ > 0.0:
-                    continue  # interior vertex
-                gain = ext - int_
-                dest = 1 - pv
-                if weights[dest] + graph.vwgt[v] > limits[dest]:
-                    continue
-                if gain > best_gain:
-                    best_v, best_gain = v, gain
-            if best_v < 0 or best_gain < 0:
+            movable = np.where(weights[dest] + vwgt <= limits[dest], gain, -np.inf)
+            v = int(np.argmax(movable))
+            best_gain = movable[v]
+            if best_gain < 0:
                 break
-            if best_gain == 0 and weights[part[best_v]] <= targets[part[best_v]]:
+            src = side[v]
+            if best_gain == 0 and weights[src] <= targets[src]:
                 break  # zero-gain move with nothing to rebalance
-            src = part[best_v]
-            part[best_v] = 1 - src
-            weights[src] -= graph.vwgt[best_v]
-            weights[1 - src] += graph.vwgt[best_v]
-            locked[best_v] = True
+            part[v] = dest[v] = side[v] = 1 - src
+            weights[src] -= vwgt[v]
+            weights[1 - src] += vwgt[v]
+            locked[v] = True
+            gain[v] = -np.inf
             improved = True
+            for u in adjncy[xadj[v] : xadj[v + 1]]:
+                if locked[u]:
+                    continue
+                ext = int_ = 0.0
+                for i in range(xadj[u], xadj[u + 1]):
+                    if side[adjncy[i]] == side[u]:
+                        int_ += ewgt[i]
+                    else:
+                        ext += ewgt[i]
+                gain[u] = -np.inf if ext == 0.0 and int_ > 0.0 else ext - int_
         if not improved:
             break
     return part
@@ -204,25 +200,24 @@ def _multilevel_bisect(graph: Graph, target_frac: float, seed: int) -> np.ndarra
     total = graph.total_weight()
     targets = (target_frac * total, (1 - target_frac) * total)
 
-    # coarsening ladder
-    levels: List[Tuple[Graph, Optional[np.ndarray]]] = [(graph, None)]
-    current = graph
-    while current.num_vertices > _COARSEST:
+    # coarsening ladder: levels[i + 1] is levels[i] contracted through cmaps[i]
+    levels, cmaps = [graph], []
+    while levels[-1].num_vertices > _COARSEST:
+        current = levels[-1]
         match = heavy_edge_matching(current, seed=seed + len(levels))
         coarse, cmap = coarsen_graph(current, match)
         if coarse.num_vertices >= _MIN_SHRINK * current.num_vertices:
             break
-        levels.append((coarse, cmap))
-        current = coarse
+        levels.append(coarse)
+        cmaps.append(cmap)
 
     # initial partition on the coarsest level
-    part = _greedy_grow(current, targets[0], seed)
-    part = fm_refine(current, part, targets)
+    part = _greedy_grow(levels[-1], targets[0], seed)
+    part = fm_refine(levels[-1], part, targets)
 
     # uncoarsen + refine
-    for (fine, cmap) in reversed(list(zip([lv[0] for lv in levels[:-1]], [lv[1] for lv in levels[1:]]))):
-        part = part[cmap]
-        part = fm_refine(fine, part, targets)
+    for fine, cmap in zip(reversed(levels[:-1]), reversed(cmaps)):
+        part = fm_refine(fine, part[cmap], targets)
     return part
 
 

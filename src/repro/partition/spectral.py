@@ -8,8 +8,6 @@ vector).  Slow but high-quality — the classic contrast to RCB.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -22,13 +20,7 @@ __all__ = ["spectral", "fiedler_vector"]
 
 def _laplacian(graph: Graph) -> sp.csr_matrix:
     n = graph.num_vertices
-    rows, cols, vals = [], [], []
-    for v in range(n):
-        for u, w in zip(graph.neighbors(v), graph.neighbor_weights(v)):
-            rows.append(v)
-            cols.append(int(u))
-            vals.append(-float(w))
-    adj = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    adj = sp.csr_matrix((-graph.ewgt, (graph.sources(), graph.adjncy)), shape=(n, n))
     deg = -np.asarray(adj.sum(axis=1)).ravel()
     return adj + sp.diags(deg)
 
@@ -48,27 +40,6 @@ def fiedler_vector(graph: Graph, seed: int = 7) -> np.ndarray:
         # dense fallback for tiny/ill-conditioned cases
         vals, vecs = np.linalg.eigh(lap.toarray())
         return vecs[:, np.argsort(vals)[1]]
-
-
-def _components(graph: Graph) -> List[np.ndarray]:
-    n = graph.num_vertices
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in graph.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-        comps.append(np.asarray(sorted(comp)))
-    return comps
 
 
 def spectral(graph: Graph, nparts: int, seed: int = 7) -> np.ndarray:
@@ -93,11 +64,17 @@ def _recurse(
     right_parts = nparts - left_parts
     target_frac = left_parts / nparts
 
+    # imported here, not at module level: csgraph's extension modules add
+    # about 1 MB to every process that imports repro.partition
+    from scipy.sparse.csgraph import connected_components
+
     sub, orig = root.subgraph(ids)
-    comps = _components(sub)
-    if len(comps) > 1:
-        # order vertices component-by-component, then split by weight
-        order_local = np.concatenate(comps)
+    links = sp.csr_matrix((np.ones(len(sub.adjncy)), sub.adjncy, sub.xadj), shape=(len(ids),) * 2)
+    ncomp, comp = connected_components(links, directed=False)
+    if ncomp > 1:
+        # order vertices component-by-component (components numbered by
+        # their lowest vertex), then split by weight
+        order_local = np.argsort(comp, kind="stable")
     else:
         fied = fiedler_vector(sub, seed=seed)
         order_local = np.argsort(fied, kind="stable")

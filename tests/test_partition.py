@@ -18,7 +18,12 @@ from repro.partition import (
     spectral,
 )
 from repro.partition.metrics import part_weights
-from repro.partition.multilevel import coarsen_graph, fm_refine, heavy_edge_matching
+from repro.partition.multilevel import (
+    _BALANCE_TOL,
+    coarsen_graph,
+    fm_refine,
+    heavy_edge_matching,
+)
 
 
 def path_graph(n: int) -> Graph:
@@ -205,3 +210,103 @@ def test_property_partitions_cover_and_balance(side, nparts):
         assert len(part) == g.num_vertices
         assert set(np.unique(part)) == set(range(nparts))
         assert imbalance(g, part, nparts) <= 1.5
+
+
+# -- properties over random connected graphs with float weights ---------------
+
+_WEIGHT = st.floats(min_value=0.1, max_value=10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def weighted_graphs(draw, max_n: int = 40) -> Graph:
+    """A connected graph: a random spanning tree plus random chords, with
+    non-integer vertex weights, symmetric edge weights and coordinates."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges = sorted({(min(a, b), max(a, b)) for a, b in tree + chords if a != b})
+    ewgt = draw(st.lists(_WEIGHT, min_size=len(edges), max_size=len(edges)))
+    rows = [[] for _ in range(n)]
+    for (a, b), w in zip(edges, ewgt):
+        rows[a].append((b, w))
+        rows[b].append((a, w))
+    xadj = np.cumsum([0] + [len(r) for r in rows])
+    entries = [e for r in rows for e in sorted(r)]
+    return Graph(
+        xadj,
+        [u for u, _ in entries],
+        vwgt=draw(st.lists(_WEIGHT, min_size=n, max_size=n)),
+        ewgt=[w for _, w in entries],
+        coords=np.column_stack([np.arange(n, dtype=float), np.zeros(n)]),
+    )
+
+
+def _close_le(a: float, b: float) -> bool:
+    """``a <= b`` up to float summation-order rounding."""
+    return a <= b + 1e-9 * max(1.0, abs(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=weighted_graphs(), data=st.data())
+def test_property_fm_never_raises_cut_or_breaks_balance(graph, data):
+    n = graph.num_vertices
+    part = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    frac = data.draw(st.floats(min_value=0.2, max_value=0.8))
+    total = graph.total_weight()
+    targets = (frac * total, (1 - frac) * total)
+    limits = [t * _BALANCE_TOL for t in targets]
+    before_cut = edge_cut(graph, part)
+    before_w = part_weights(graph, part, 2)
+    out = fm_refine(graph, part, targets)
+    assert out is part
+    assert _close_le(edge_cut(graph, part), before_cut)
+    after_w = part_weights(graph, part, 2)
+    for side in (0, 1):
+        if before_w[side] <= limits[side]:
+            assert _close_le(after_w[side], limits[side])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=weighted_graphs(), seed=st.integers(0, 2**16))
+def test_property_matching_is_a_maximal_involution_on_edges(graph, seed):
+    match = heavy_edge_matching(graph, seed=seed)
+    assert np.array_equal(match[match], np.arange(graph.num_vertices))
+    for v, u in enumerate(match):
+        if u != v:
+            assert u in graph.neighbors(v)
+        else:  # maximal: an unmatched vertex has no unmatched neighbour
+            assert all(match[x] != x for x in graph.neighbors(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=weighted_graphs(), seed=st.integers(0, 2**16))
+def test_property_coarsening_preserves_weights(graph, seed):
+    match = heavy_edge_matching(graph, seed=seed)
+    coarse, cmap = coarsen_graph(graph, match)
+    assert np.array_equal(cmap[match], cmap)  # a pair shares its coarse vertex
+    assert coarse.num_vertices == len(np.unique(cmap)) == cmap.max() + 1
+    assert coarse.total_weight() == pytest.approx(graph.total_weight(), rel=1e-12)
+    uncontracted = graph.ewgt[cmap[graph.sources()] != cmap[graph.adjncy]].sum()
+    assert coarse.ewgt.sum() == pytest.approx(uncontracted, rel=1e-12)
+    for cv in range(coarse.num_vertices):  # rows ascend, no self loops
+        nbrs = coarse.neighbors(cv)
+        assert np.all(np.diff(nbrs) > 0) and cv not in nbrs
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=weighted_graphs(), data=st.data())
+def test_property_subgraph_equals_brute_force(graph, data):
+    n = graph.num_vertices
+    keep = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    sub, orig = graph.subgraph(np.asarray(keep, dtype=np.int64))
+    pos = {v: i for i, v in enumerate(keep)}
+    rows = [
+        [(pos[int(u)], w) for u, w in zip(graph.neighbors(v), graph.neighbor_weights(v)) if int(u) in pos]
+        for v in keep
+    ]
+    assert list(orig) == keep
+    assert list(sub.xadj) == list(np.cumsum([0] + [len(r) for r in rows]))
+    assert list(sub.adjncy) == [u for r in rows for u, _ in r]
+    assert list(sub.ewgt) == [w for r in rows for _, w in r]
+    assert list(sub.vwgt) == [graph.vwgt[v] for v in keep]
+    assert sub.coords.tolist() == [graph.coords[v].tolist() for v in keep]
