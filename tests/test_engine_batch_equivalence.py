@@ -1,22 +1,23 @@
-"""Golden equivalence: the batched event engine vs the scalar loop.
+"""Golden timelines: the batched event engine against recorded fingerprints.
 
-The PR-6 engine core (same-timestamp cohort drain, array-backed delay
-lane, zero lane, ``call_after`` timers, fused ``Hop`` protocol legs and
+The engine core (same-timestamp cohort drain, array-backed delay lane,
+zero lane, ``call_after`` timers, fused ``Hop`` protocol legs and
 ``Network.transfer_async`` timer transfers) must be invisible in every
-simulated quantity.  ``config.derived["engine_batch"] = "off"`` restores
-the pre-batching pipeline — the scalar one-event-at-a-time heap loop plus
-(together with ``net_batch``/``mpi_match_batch`` off) the spawned-coroutine
-network and list-scan match paths — which is the reference here.
+simulated quantity.  Its reference was the scalar one-event-at-a-time
+heap loop with spawned-coroutine network transfers and list-scan
+matching.  ``tests/golden/timelines.json`` holds that reference's
+fingerprints, recorded by ``tools/record_timeline_golden.py``, and each
+row here re-runs one model at one P and compares.
 
 Locked quantities, all bit-identical (no tolerance):
 
 * simulated elapsed nanoseconds,
 * the complete ``repro.obs`` event stream (kind, t, src, dst, nbytes,
   dur and every attribute, in emission order),
-* per-rank statistics (the float-sum order inside each rank matters),
+* per-CPU statistics (the float-sum order inside each rank matters),
 * per-rank program results.
 
-P=128 rows carry the ``nightly`` marker so tier-1 stays fast.
+P=64 and P=128 rows carry the ``nightly`` marker.
 """
 
 import os
@@ -24,36 +25,24 @@ import os
 import pytest
 
 from repro.harness.enginebench import (
-    BATCHED_DERIVED,
     SCALAR_DERIVED,
     _EQUIV_PROGRAMS,
     _trace_fingerprint,
 )
 from repro.machine import Machine, MachineConfig
 from repro.models.registry import run_program
+from tests.timeline_golden import assert_matches_recording
 
 MODELS = ("mpi", "shmem", "sas", "hybrid")
 PROCS = [1, 8, pytest.param(64, marks=pytest.mark.nightly),
          pytest.param(128, marks=pytest.mark.nightly)]
 
 
-def _run_pair(model: str, nprocs: int):
-    program, args = _EQUIV_PROGRAMS[model]
-    out = {}
-    for name, derived in (("batched", BATCHED_DERIVED), ("scalar", SCALAR_DERIVED)):
-        cfg = MachineConfig(nprocs=nprocs, derived=dict(derived))
-        out[name] = run_program(model, program, nprocs, *args, config=cfg, trace=True)
-    return out["batched"], out["scalar"]
-
-
 class TestGoldenTimelines:
     @pytest.mark.parametrize("nprocs", PROCS)
     @pytest.mark.parametrize("model", MODELS)
     def test_trace_and_stats_identical(self, model, nprocs):
-        batched, scalar = _run_pair(model, nprocs)
-        assert batched.elapsed_ns == scalar.elapsed_ns
-        assert _trace_fingerprint(batched) == _trace_fingerprint(scalar)
-        assert batched.rank_results == scalar.rank_results
+        assert_matches_recording(f"engine/{model}-{nprocs}")
 
     def test_opt_out_restores_scalar_engine(self):
         on = Machine(MachineConfig(nprocs=8))

@@ -4,8 +4,10 @@ The batched fast path (``Directory.transaction_batch``) must be invisible in
 every simulated quantity — latencies bit-identical (no tolerance), the same
 miss-kind counts, the same cache and directory state, the same home-memory
 queue occupancy, and the same application checksums.  Only *host* time may
-differ.  ``config.derived["sas_batch"] = "off"`` forces every line through
-the scalar :meth:`Directory.transaction`, which is the reference here.
+differ.  The reference is the scalar :meth:`Directory.transaction`, the
+general protocol path, applied line by line (:func:`_scalar_batch`); the
+application rows compare against fingerprints recorded from that path
+(``tests/golden/timelines.json``).
 """
 
 import numpy as np
@@ -15,18 +17,29 @@ from repro.apps.adapt import ADAPT_PROGRAMS, AdaptConfig, build_script
 from repro.machine import Machine, MachineConfig
 from repro.machine.directory import TRANSACTION_KINDS
 from repro.models.registry import run_program
+from tests.timeline_golden import assert_matches_recording
 
 # mesh_n=12 is the smallest workload whose shared-array sweeps are long
 # enough (>= 16 cache lines) to actually enter the vectorised fast path.
 ADAPT_CFG = AdaptConfig(mesh_n=12, phases=3, solver_iters=4)
 
 
-def _pair(nprocs: int):
-    on = Machine(MachineConfig(nprocs=nprocs))
-    off = Machine(MachineConfig(nprocs=nprocs, derived={"sas_batch": "off"}))
-    assert on.directory.batch_enabled
-    assert not off.directory.batch_enabled
-    return on, off
+def _pair(nprocs: int, **cfg):
+    """Two fresh machines: one for the batched path, one for the reference."""
+    return tuple(Machine(MachineConfig(nprocs=nprocs, **cfg)) for _ in range(2))
+
+
+def _scalar_batch(directory, cpu, lines, write, now_ns, coherence_only=False):
+    """What ``transaction_batch`` must equal: one scalar transaction per line."""
+    counts = dict.fromkeys(TRANSACTION_KINDS, 0)
+    total = 0.0
+    for line in np.asarray(lines, dtype=np.int64).tolist():
+        lat, kind = directory.transaction(cpu, line, write, now_ns + total)
+        counts[kind] += 1
+        if coherence_only and kind in ("hit", "local"):
+            lat = 0.0
+        total += lat
+    return total, counts
 
 
 def _machine_state(machine: Machine):
@@ -69,8 +82,8 @@ class TestTraceEquivalence:
             lat_on, counts_on = on.directory.transaction_batch(
                 cpu, lines, write, now_on, coherence_only=coh
             )
-            lat_off, counts_off = off.directory.transaction_batch(
-                cpu, lines, write, now_off, coherence_only=coh
+            lat_off, counts_off = _scalar_batch(
+                off.directory, cpu, lines, write, now_off, coherence_only=coh
             )
             assert lat_on == lat_off  # exact float equality, no approx
             assert counts_on == counts_off
@@ -81,14 +94,12 @@ class TestTraceEquivalence:
 
     def test_small_cache_forces_evictions_and_stays_identical(self):
         """Tiny caches maximise conflict evictions, writebacks and LRU churn."""
-        cfg = dict(nprocs=4, l2_bytes=4096)  # 64 lines/CPU: constant turnover
-        on = Machine(MachineConfig(**cfg))
-        off = Machine(MachineConfig(**cfg, derived={"sas_batch": "off"}))
+        on, off = _pair(4, l2_bytes=4096)  # 64 lines/CPU: constant turnover
         rng = np.random.default_rng(99)
         now_on = now_off = 0.0
         for cpu, lines, write, coh in _random_trace(rng, 4, steps=60):
             lat_on, _ = on.directory.transaction_batch(cpu, lines, write, now_on, coherence_only=coh)
-            lat_off, _ = off.directory.transaction_batch(cpu, lines, write, now_off, coherence_only=coh)
+            lat_off, _ = _scalar_batch(off.directory, cpu, lines, write, now_off, coherence_only=coh)
             assert lat_on == lat_off
             now_on += lat_on
             now_off += lat_off
@@ -110,7 +121,7 @@ class TestTraceEquivalence:
         now_on = now_off = 0.0
         for cpu, seg, write in plan:
             lat_on, counts_on = on.directory.transaction_batch(cpu, seg, write, now_on)
-            lat_off, counts_off = off.directory.transaction_batch(cpu, seg, write, now_off)
+            lat_off, counts_off = _scalar_batch(off.directory, cpu, seg, write, now_off)
             assert lat_on == lat_off
             assert counts_on == counts_off
             now_on += lat_on
@@ -123,28 +134,15 @@ class TestTraceEquivalence:
 
 
 class TestAppEquivalence:
-    """The adapt application end-to-end, batch on vs off."""
+    """The adapt application end-to-end against its scalar-path recording."""
 
     @pytest.mark.parametrize("nprocs", (1, 4, 8))
     def test_adapt_identical_under_batching(self, nprocs):
-        script = build_script(ADAPT_CFG, nprocs)
-        machine_on = Machine(MachineConfig(nprocs=nprocs))
-        res_on = run_program(
-            "sas", ADAPT_PROGRAMS["sas"], nprocs, script, machine=machine_on
-        )
-        res_off = run_program(
-            "sas",
-            ADAPT_PROGRAMS["sas"],
-            nprocs,
-            script,
-            config=MachineConfig(nprocs=nprocs, derived={"sas_batch": "off"}),
-        )
-        assert res_on.elapsed_ns == res_off.elapsed_ns  # bit-identical ns
-        assert res_on.rank_results == res_off.rank_results
-        assert res_on.stats.summary() == res_off.stats.summary()
+        machine = Machine(MachineConfig(nprocs=nprocs))
+        assert_matches_recording(f"adapt-sas/{nprocs}", machine=machine)
         # and the run really used the vectorised path (not a silent fallback)
         if nprocs > 1:
-            assert machine_on.directory.batch_fast_lines > 0
+            assert machine.directory.batch_fast_lines > 0
 
     def test_checksum_matches_sequential_reference(self):
         script = build_script(ADAPT_CFG, 4)

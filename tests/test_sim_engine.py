@@ -505,7 +505,7 @@ def test_adopt_runs_first_step_immediately():
 
 
 def test_batched_and_scalar_timelines_identical():
-    """The same process soup produces the same (now, order) under both loops."""
+    """A process soup reproduces the (now, order) the scalar heap loop recorded."""
 
     def workload(eng, order, tag, delays):
         def prog():
@@ -515,15 +515,16 @@ def test_batched_and_scalar_timelines_identical():
 
         return prog()
 
-    results = {}
-    for batch in (True, False):
-        eng = Engine(batch=batch)
-        order = []
-        for tag, delays in (("a", [3, 0, 4]), ("b", [3, 4]), ("c", [7, 0, 0])):
-            eng.spawn(workload(eng, order, tag, delays))
-        eng.run()
-        results[batch] = (eng.now, order)
-    assert results[True] == results[False]
+    eng = Engine()
+    order = []
+    for tag, delays in (("a", [3, 0, 4]), ("b", [3, 4]), ("c", [7, 0, 0])):
+        eng.spawn(workload(eng, order, tag, delays))
+    eng.run()
+    # recorded from the one-entry-at-a-time (time, seq) heap loop
+    assert (eng.now, order) == (7.0, [
+        ("a", 3.0), ("b", 3.0), ("a", 3.0), ("c", 7.0),
+        ("b", 7.0), ("a", 7.0), ("c", 7.0), ("c", 7.0),
+    ])
 
 
 def test_engine_counters_report_batched_activity():
