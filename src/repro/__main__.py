@@ -7,9 +7,6 @@ Commands
 ``comm-matrix`` per-pair communication matrices across the models
 ``sweep``   app × model × P sweep with speedup table and ASCII chart
 ``micro``   the machine microbenchmarks (latency ladder, messaging)
-``bench-sas`` host-time benchmark of the batched SAS memory pipeline
-``bench-net`` host-time benchmark of the batched network/MPI fast paths
-``bench-engine`` host-time benchmark of the batched event-engine core
 ``bench-faults`` per-model fault-recovery overhead (retries, goodput)
 ``bench-scenarios`` model × P × scenario-class ranking-flip sweep
 ``bench-profiles`` model × P × hardware-profile ranking-flip sweep
@@ -39,10 +36,7 @@ Serving (see ``docs/serving.md``): the sweep-shaped commands (``sweep``,
 ``bench-faults``, ``bench-scenarios``, ``serve``) consult the
 content-addressed result store by default — ``--no-cache`` opts out,
 ``--cache-dir`` relocates it, ``-j/--jobs N`` shards uncached cells over
-N worker processes.  The host-time benches (``bench-sas``, ``bench-net``,
-``bench-engine``) and ``run`` opt *in* with ``--serve``: their timing
-arms always run live, so only their sweep/equivalence sections are
-served.
+N worker processes.  ``run`` opts *in* with ``--serve``.
 """
 
 from __future__ import annotations
@@ -262,15 +256,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.faults import resolve_profile
 
         faults = resolve_profile(args.faults, seed=args.fault_seed)
-    derived = {}
-    if args.engine_batch:
-        derived["engine_batch"] = args.engine_batch
-    if args.link_stats:
-        derived["link_stats"] = "on"
+    derived = {"link_stats": "on"} if args.link_stats else None
     store = _store_from_args(args, default_on=False)
     result = run_app(
         app, model, args.nprocs, wl, placement=args.placement, trace=traced,
-        faults=faults, derived=derived or None, store=store,
+        faults=faults, derived=derived, store=store,
         machine_profile=args.machine_profile,
     )
     agg = aggregate_breakdown(result)
@@ -388,154 +378,6 @@ def cmd_comm_matrix(args: argparse.Namespace) -> int:
             print(format_matrix(m))
         print(f"  total: {int(m.sum())} {units}")
         print()
-    return 0
-
-
-def cmd_bench_sas(args: argparse.Namespace) -> int:
-    from repro.harness.profile import run_sas_microbench, write_bench_json
-
-    _check_nprocs(args.nprocs)
-    store = _store_from_args(args, default_on=False)
-    record = run_sas_microbench(
-        nprocs=args.nprocs, elements=args.elements, sweeps=args.sweeps,
-        store=store,
-    )
-    path = write_bench_json(record, args.output)
-    print(f"SAS line-touch microbenchmark (P={args.nprocs}, "
-          f"{record['lines_touched']} lines touched)")
-    if "store_verified" in record:
-        state = ("matches the stored fingerprint" if record["store_verified"]
-                 else "seeded the store fingerprint")
-        print(f"  golden check   : {state}")
-    print(f"  simulated time : {record['simulated_ns'] / 1e6:.3f} ms "
-          f"(bit-identical batch on/off: {record['identical_simulated_ns']})")
-    print(f"  scalar path    : {record['scalar']['host_seconds']:.3f} s host "
-          f"({record['scalar']['lines_per_sec']:,.0f} lines/s)")
-    print(f"  batched path   : {record['batch']['host_seconds']:.3f} s host "
-          f"({record['batch']['lines_per_sec']:,.0f} lines/s)")
-    print(f"  host speedup   : {record['speedup']:.2f}x")
-    print(f"  wrote {path}")
-    if args.require_batch:
-        from repro.machine import Machine, MachineConfig
-
-        if not Machine(MachineConfig(nprocs=args.nprocs)).directory.batch_enabled:
-            print("ERROR: batched fast path is not enabled by default", file=sys.stderr)
-            return 1
-    if args.min_speedup > 0 and record["speedup"] < args.min_speedup:
-        print(
-            f"ERROR: host speedup {record['speedup']:.2f}x below the "
-            f"required {args.min_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_net(args: argparse.Namespace) -> int:
-    from repro.harness.netbench import run_net_microbench, write_net_bench_json
-
-    _check_nprocs(args.nprocs)
-    sweep_procs = _check_procs_list(args.procs)
-    store = _store_from_args(args, default_on=False)
-    record = run_net_microbench(
-        nprocs=args.nprocs,
-        flood=args.flood,
-        sweeps=args.sweeps,
-        sweep_procs=sweep_procs,
-        sweep_models=tuple(args.models.split(",")),
-        include_sweep=not args.no_sweep,
-        profile=not args.no_profile,
-        store=store,
-        jobs=args.jobs,
-    )
-    wl = record["workload"]
-    print(f"network/MPI fast-path benchmark (P={wl['nprocs']}, "
-          f"{wl['halo_pairs']} halo pairs, flood depth {wl['flood']})")
-    print(f"  simulated time : {record['simulated_ns'] / 1e6:.3f} ms "
-          f"(bit-identical batch on/off: {record['identical_simulated_ns']})")
-    print(f"  scalar paths   : {record['scalar']['host_seconds']:.3f} s host "
-          f"({record['scalar']['messages_per_sec']:,.0f} msgs/s)")
-    print(f"  batched paths  : {record['batch']['host_seconds']:.3f} s host "
-          f"({record['batch']['messages_per_sec']:,.0f} msgs/s)")
-    print(f"  host speedup   : {record['speedup']:.2f}x "
-          f"({record['fast_transfers']} fast transfers, "
-          f"{record['match']['vector_scans']} vector match scans)")
-    for row in record.get("sweep", ()):
-        print(f"  sweep          : {row['app']}/{row['model']} P={row['nprocs']} "
-              f"-> {row['elapsed_ms']:.3f} ms sim in {row['host_seconds']:.2f} s host "
-              f"[{row['sharer_scheme']}]")
-    _print_store_report(store)
-    path = write_net_bench_json(record, args.output)
-    print(f"  wrote {path}")
-    if args.require_batch:
-        from repro.machine import Machine, MachineConfig
-
-        machine = Machine(MachineConfig(nprocs=args.nprocs))
-        if not machine.network.batch_enabled:
-            print("ERROR: batched network path is not enabled by default",
-                  file=sys.stderr)
-            return 1
-    if args.min_speedup > 0 and record["speedup"] < args.min_speedup:
-        print(
-            f"ERROR: host speedup {record['speedup']:.2f}x below the "
-            f"required {args.min_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_engine(args: argparse.Namespace) -> int:
-    from repro.harness.enginebench import run_engine_microbench, write_engine_bench_json
-
-    _check_nprocs(args.nprocs)
-    store = _store_from_args(args, default_on=False)
-    record = run_engine_microbench(
-        nprocs=args.nprocs,
-        flood=args.flood,
-        sweeps=args.sweeps,
-        reps=args.reps,
-        equivalence_procs=_check_procs_list(args.procs),
-        equivalence_models=tuple(args.models.split(",")),
-        include_equivalence=not args.no_equivalence,
-        include_engine_only=not args.no_engine_only,
-        store=store,
-        jobs=args.jobs,
-    )
-    wl = record["workload"]
-    eng = record["engine"]
-    print(f"engine-core benchmark (P={wl['nprocs']}, {wl['halo_pairs']} halo pairs, "
-          f"flood depth {wl['flood']}, {wl['sweeps']} sweeps, "
-          f"min over {wl['reps']} interleaved reps)")
-    print(f"  simulated time : {record['simulated_ns'] / 1e6:.3f} ms "
-          f"(bit-identical batch on/off: {record['identical_simulated_ns']})")
-    print(f"  scalar stack   : {record['scalar']['host_seconds']:.3f} s host")
-    print(f"  batched stack  : {record['batch']['host_seconds']:.3f} s host")
-    print(f"  host speedup   : {record['speedup']:.2f}x "
-          f"({eng['events']} events, max cohort {eng['max_cohort']}, "
-          f"{eng['zero_lane_hits']} zero-lane hits, "
-          f"{record['timer_transfers']} timer transfers)")
-    if "engine_only" in record:
-        print(f"  engine only    : {record['engine_only']['speedup']:.2f}x "
-              "(cohort drain alone; network/match batching held on)")
-    for row in record.get("equivalence", ()):
-        print(f"  equivalence    : {row['model']:6s} P={row['nprocs']:<3d} "
-              f"{row['events']} events -> identical_trace={row['identical_trace']}")
-    _print_store_report(store)
-    path = write_engine_bench_json(record, args.output)
-    print(f"  wrote {path}")
-    if args.require_batch:
-        machine = Machine(MachineConfig(nprocs=args.nprocs))
-        if not machine.engine.batch_enabled:
-            print("ERROR: batched engine is not enabled by default", file=sys.stderr)
-            return 1
-    if args.min_speedup > 0 and record["speedup"] < args.min_speedup:
-        print(
-            f"ERROR: host speedup {record['speedup']:.2f}x below the "
-            f"required {args.min_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -1050,8 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="bypass the result store: compute every cell live")
         else:
             p.add_argument("--serve", action="store_true",
-                           help="consult the content-addressed result store "
-                                "(timing arms always run live)")
+                           help="consult the content-addressed result store")
         if jobs:
             p.add_argument("-j", "--jobs", type=int, default=1,
                            help="shard uncached cells over N worker processes")
@@ -1104,10 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the expected fault cost into PLUM's repartitioner")
     p.add_argument("--fault-seed", type=int, default=None,
                    help="override the fault profile's seed")
-    p.add_argument("--engine-batch", choices=("on", "off"), default=None,
-                   help="force the batched event engine on or off "
-                        "(off restores the scalar one-event-at-a-time loop; "
-                        "simulated time is bit-identical either way)")
     p.add_argument("--link-stats", action="store_true",
                    help="collect per-link contention counters and print the "
                         "hottest links (simulated time is unchanged)")
@@ -1145,64 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--nprocs", type=int, default=16)
     _add_machine_profile(p)
     p.set_defaults(fn=cmd_micro)
-
-    p = sub.add_parser("bench-sas", help="host-time benchmark of the SAS memory pipeline")
-    p.add_argument("-n", "--nprocs", type=int, default=4)
-    p.add_argument("--elements", type=int, default=40_000,
-                   help="shared elements per rank (default touches >1e5 lines)")
-    p.add_argument("--sweeps", type=int, default=3)
-    p.add_argument("-o", "--output", default=None, help="BENCH_SAS.json path")
-    p.add_argument("--require-batch", action="store_true",
-                   help="fail unless the batched fast path is enabled (CI)")
-    p.add_argument("--min-speedup", type=float, default=0.0,
-                   help="with --require-batch: fail below this host speedup")
-    _add_serving(p, default_on=False, jobs=False)
-    p.set_defaults(fn=cmd_bench_sas)
-
-    p = sub.add_parser("bench-net",
-                       help="host-time benchmark of the batched network/MPI paths")
-    p.add_argument("-n", "--nprocs", type=int, default=128)
-    p.add_argument("--flood", type=int, default=384,
-                   help="unexpected-queue flood depth per rank")
-    p.add_argument("--sweeps", type=int, default=1)
-    p.add_argument("-p", "--procs", default="64,128",
-                   help="sweep-completion processor counts")
-    p.add_argument("-m", "--models", default="mpi,shmem,sas")
-    p.add_argument("--no-sweep", action="store_true",
-                   help="skip the per-model sweep-completion section")
-    p.add_argument("--no-profile", action="store_true",
-                   help="skip the host-time profile section")
-    p.add_argument("-o", "--output", default=None, help="BENCH_NET.json path")
-    p.add_argument("--require-batch", action="store_true",
-                   help="fail unless the batched fast paths are enabled (CI)")
-    p.add_argument("--min-speedup", type=float, default=0.0,
-                   help="fail below this host speedup (CI)")
-    _add_serving(p, default_on=False)
-    p.set_defaults(fn=cmd_bench_net)
-
-    p = sub.add_parser("bench-engine",
-                       help="host-time benchmark of the batched event-engine core")
-    p.add_argument("-n", "--nprocs", type=int, default=128)
-    p.add_argument("--flood", type=int, default=384,
-                   help="unexpected-queue flood depth per rank")
-    p.add_argument("--sweeps", type=int, default=2)
-    p.add_argument("--reps", type=int, default=3,
-                   help="interleaved repetitions per arm (min is reported)")
-    p.add_argument("-p", "--procs", default="1,8,64",
-                   help="processor counts for the per-model trace-equivalence rows")
-    p.add_argument("-m", "--models", default="mpi,shmem,sas,hybrid",
-                   help="models for the trace-equivalence rows")
-    p.add_argument("--no-equivalence", action="store_true",
-                   help="skip the per-model obs-trace equivalence section")
-    p.add_argument("--no-engine-only", action="store_true",
-                   help="skip the engine-core isolation arm")
-    p.add_argument("-o", "--output", default=None, help="BENCH_ENGINE.json path")
-    p.add_argument("--require-batch", action="store_true",
-                   help="fail unless the batched engine is enabled by default (CI)")
-    p.add_argument("--min-speedup", type=float, default=0.0,
-                   help="fail below this host speedup (CI)")
-    _add_serving(p, default_on=False)
-    p.set_defaults(fn=cmd_bench_engine)
 
     p = sub.add_parser("bench-faults",
                        help="per-model fault-recovery overhead benchmark")

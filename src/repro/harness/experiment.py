@@ -233,8 +233,8 @@ def run_app(
             :class:`repro.faults.FaultProfile`, or ``None`` for the
             fault-free machine (see ``docs/faults.md``).
         derived: extra ``MachineConfig.derived`` switches for this run
-            (e.g. ``{"engine_batch": "off"}`` to force the scalar
-            event loop) — ``None`` keeps the machine defaults.
+            (e.g. ``{"link_stats": "on"}`` to collect per-link
+            contention counters) — ``None`` keeps the machine defaults.
         store: a :class:`repro.serving.ResultStore` for store-first
             serving — a run whose full signature is already on disk
             returns its stored :class:`repro.serving.ResultSummary`

@@ -10,7 +10,7 @@ fraction of the machine's fault-free pace it still achieves).
 With ``verify=True`` (default) every faulted configuration also runs a
 second time with the same seed and the two runs are asserted identical —
 elapsed nanoseconds, fault counters and per-rank results — so the numbers
-can never come from nondeterministic injection.  ``write_bench_json``
+can never come from nondeterministic injection.  ``write_fault_bench_json``
 emits the record as ``BENCH_FAULTS.json`` for the CI artifact.
 
 ``correlated=True`` turns the two-arm comparison into three arms per

@@ -1,182 +1,13 @@
-"""Host-time profiling harness and the SAS memory-pipeline microbenchmark.
+"""Host-time profiling harness: the public face of the wall-clock profiler.
 
-Two concerns live here:
-
-* the public face of the wall-clock profiler (:data:`PROFILER`,
-  :func:`profile_section` — the implementation is in
-  :mod:`repro.sim.profile` so the machine layer can import it without a
-  package cycle), and
-* :func:`run_sas_microbench`, the line-touch microbenchmark that measures
-  the *host-time* throughput of the CC-SAS cache/directory pipeline with
-  the batched fast path on vs. off, checks the two runs are bit-identical
-  in simulated nanoseconds, and emits ``BENCH_SAS.json`` via
-  :func:`write_bench_json`.
-
-The simulated results never depend on profiling or on the batch switch —
-only how many host seconds they take to produce.
+:data:`PROFILER` and :func:`profile_section` are implemented in
+:mod:`repro.sim.profile` so the machine layer can import them without a
+package cycle.  The simulated results never depend on profiling — only
+how many host seconds they take to produce.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from typing import Any, Dict, Generator, Optional
-
-import numpy as np
-
-from repro.machine.config import MachineConfig
-from repro.models.registry import run_program
 from repro.sim.profile import PROFILER, Profiler, profile_section
 
-__all__ = [
-    "PROFILER",
-    "Profiler",
-    "profile_section",
-    "run_sas_microbench",
-    "write_bench_json",
-]
-
-BENCH_FILENAME = "BENCH_SAS.json"
-
-
-def _microbench_program(ctx, elements: int, sweeps: int) -> Generator:
-    """Per-rank SAS workload: strided sweeps + scattered gathers.
-
-    Mirrors the access mix of the adaptive apps: a first-touch write sweep
-    over this rank's block, re-read sweeps (warm hits), a read of the
-    *next* rank's block (remote/coherence traffic), and an indexed gather
-    with duplicate consecutive indices (the irregular pattern
-    ``stouch_idx`` dedupes).
-    """
-    data = ctx.shalloc("bench", (elements * ctx.nprocs,), np.float64)
-    lo = ctx.rank * elements
-    hi = lo + elements
-    yield from ctx.stouch(data, lo, hi, write=True)  # first touch: place + fill
-    for _ in range(sweeps):
-        yield from ctx.stouch(data, lo, hi, write=False)  # warm hits
-    yield from ctx.barrier()
-    nxt = ((ctx.rank + 1) % ctx.nprocs) * elements
-    yield from ctx.stouch(data, nxt, nxt + elements, write=False)  # remote
-    idx = (np.arange(elements, dtype=np.int64) * 7) % elements + lo
-    yield from ctx.stouch_idx(data, idx, write=False)  # scattered gather
-    yield from ctx.barrier()
-    return float(ctx.now)
-
-
-def _one_run(nprocs: int, elements: int, sweeps: int, batch: str):
-    cfg = MachineConfig(nprocs=nprocs, derived={"sas_batch": batch})
-    t0 = time.perf_counter()
-    result = run_program("sas", _microbench_program, nprocs, elements, sweeps, config=cfg)
-    host_s = time.perf_counter() - t0
-    lines = result.stats.total("lines_touched")
-    return result, host_s, lines
-
-
-def run_sas_microbench(
-    nprocs: int = 4,
-    elements: int = 40_000,
-    sweeps: int = 3,
-    compare: bool = True,
-    store: Any = None,
-) -> Dict[str, Any]:
-    """Benchmark the SAS memory pipeline; returns the BENCH_SAS record.
-
-    With ``compare=True`` the workload runs twice — batched fast path on,
-    then off — and the two simulated timelines are asserted identical
-    before any speedup is reported, so the number can never come from a
-    model change masquerading as an optimisation.  Default sizing touches
-    well over 10^5 cache lines.
-
-    ``store`` does not serve this bench (it *is* a host-time
-    measurement); it keeps a fingerprint golden instead.  The first run
-    under a given signature stores the simulated nanoseconds, line
-    count and full statistics summary; every later run with the same
-    signature is asserted identical — a cross-process, cross-day drift
-    detector.  The record gains ``store_verified`` when the comparison
-    happened.
-    """
-    result_on, host_on, lines_on = _one_run(nprocs, elements, sweeps, "on")
-    record: Dict[str, Any] = {
-        "benchmark": "sas-line-touch",
-        "workload": {
-            "model": "sas",
-            "nprocs": nprocs,
-            "elements_per_rank": elements,
-            "sweeps": sweeps,
-        },
-        "simulated_ns": result_on.elapsed_ns,
-        "lines_touched": int(lines_on),
-        "batch": {
-            "host_seconds": host_on,
-            "lines_per_sec": lines_on / host_on if host_on > 0 else 0.0,
-        },
-        "batch_enabled": True,
-    }
-    if compare:
-        result_off, host_off, lines_off = _one_run(nprocs, elements, sweeps, "off")
-        if result_off.elapsed_ns != result_on.elapsed_ns:
-            raise AssertionError(
-                "batched fast path diverged from the scalar pipeline: "
-                f"{result_on.elapsed_ns} ns (on) vs {result_off.elapsed_ns} ns (off)"
-            )
-        if result_off.stats.summary() != result_on.stats.summary():
-            raise AssertionError("batched fast path changed machine statistics")
-        record["scalar"] = {
-            "host_seconds": host_off,
-            "lines_per_sec": lines_off / host_off if host_off > 0 else 0.0,
-        }
-        record["speedup"] = host_off / host_on if host_on > 0 else float("inf")
-        record["identical_simulated_ns"] = True
-    if store is not None:
-        record["store_verified"] = _store_fingerprint(
-            store, nprocs, elements, sweeps, result_on, int(lines_on)
-        )
-    return record
-
-
-def _store_fingerprint(
-    store: Any, nprocs: int, elements: int, sweeps: int, result, lines: int
-) -> bool:
-    """Golden-check this run against the store's fingerprint entry.
-
-    Returns ``True`` when a previous fingerprint existed and matched
-    (``AssertionError`` when it existed and did not), ``False`` when this
-    run seeded the fingerprint.
-    """
-    import repro
-    from repro.serving import cache_key
-    from repro.serving.store import STORE_SCHEMA
-
-    sig = {
-        "schema": STORE_SCHEMA,
-        "engine": repro.__version__,
-        "bench": "sas-line-touch",
-        "nprocs": nprocs,
-        "elements": elements,
-        "sweeps": sweeps,
-    }
-    fingerprint = {
-        "simulated_ns": result.elapsed_ns,
-        "lines_touched": lines,
-        "stats": {k: float(v) for k, v in result.stats.summary().items()},
-    }
-    key = cache_key(sig)
-    stored = store.get(key)
-    if stored is None:
-        store.put(key, sig, fingerprint, identity=f"sas-line-touch/P{nprocs}")
-        return False
-    if stored != json.loads(json.dumps(fingerprint)):
-        raise AssertionError(
-            "sas microbench drifted from its stored fingerprint: "
-            f"stored {stored} vs current {fingerprint}"
-        )
-    return True
-
-
-def write_bench_json(record: Dict[str, Any], path: Optional[str] = None) -> str:
-    """Write the benchmark record to ``BENCH_SAS.json``; returns the path."""
-    path = path or BENCH_FILENAME
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+__all__ = ["PROFILER", "Profiler", "profile_section"]

@@ -25,6 +25,10 @@ __all__ = ["MachineConfig", "TOPOLOGY_KINDS"]
 #: :mod:`repro.machine.profiles` (see docs/machines.md)
 TOPOLOGY_KINDS = ("hypercube", "fattree", "dragonfly")
 
+#: ``derived`` switches that once selected a scalar reference implementation;
+#: the batched paths are the only ones now, so these keys are rejected
+_RETIRED_SWITCHES = ("engine_batch", "net_batch", "mpi_match_batch", "sas_batch")
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -135,6 +139,12 @@ class MachineConfig:
             raise ValueError(
                 f"dragonfly_group must be >= 2, got {self.dragonfly_group}"
             )
+        for key in _RETIRED_SWITCHES:
+            if key in self.derived:
+                raise ValueError(
+                    f"derived[{key!r}] was removed: the scalar reference path it "
+                    "selected is gone (tests/golden/timelines.json records it)"
+                )
 
     @property
     def cycle_ns(self) -> float:

@@ -36,8 +36,8 @@ fills) into a handful of array operations, and routes only *contested*
 lines (dirty owner elsewhere, sharers to invalidate, hot-home queueing
 hazards) through the scalar :meth:`transaction`.  The fast path is
 bit-identical in simulated nanoseconds and statistics to looping over
-:meth:`transaction` — see ``tests/test_sas_batch_equivalence.py`` and the
-fidelity note in DESIGN.md.
+:meth:`transaction`, which stays the general protocol path — see
+``tests/test_sas_batch_equivalence.py`` and the fidelity note in DESIGN.md.
 """
 
 from __future__ import annotations
@@ -110,10 +110,6 @@ class Directory:
                 for a in range(config.nnodes)
             ],
             dtype=np.int64,
-        )
-        self.batch_enabled = (
-            str(config.derived.get("sas_batch", "on")).lower()
-            not in ("off", "0", "false")
         )
         self.batch_calls = 0          # transaction_batch invocations
         self.batch_fast_lines = 0     # lines handled by the vectorised path
@@ -334,13 +330,12 @@ class Directory:
         # remote fill per home can wait; fault injection forces the scalar
         # protocol path so every transaction takes its own NACK draw
         fast = (
-            self.batch_enabled
-            and not self.faults.enabled
+            not self.faults.enabled
             and self.config.local_mem_ns > self._service_ns + 1e-3
         )
         i = 0
         while i < n:
-            scalar_run = n - i  # batch disabled: everything goes scalar
+            scalar_run = n - i  # no fast path: everything goes scalar
             if fast:
                 consumed, total, scalar_run = self._fast_block(
                     cpu, cache, node, lines[i : i + _MAX_BLOCK], write,
@@ -349,7 +344,7 @@ class Directory:
                 i += consumed
                 if i >= n or scalar_run == 0:
                     continue  # block/hazard boundary, not a contested line
-            # contested (or batch disabled): the exact scalar protocol path,
+            # contested (or no fast path): the exact scalar protocol path,
             # for the whole contested run the classification identified
             for line in lines[i : i + scalar_run].tolist():
                 lat, kind = self.transaction(cpu, line, write, now_ns + total)

@@ -68,9 +68,7 @@ class Machine:
         if self.profile is not None:
             cfg = self.profile.apply(cfg)
         self.config = cfg
-        # derived["engine_batch"] = "off" restores the scalar reference loop
-        # (same simulated timeline, more host time) — mirrors sas_batch/net_batch
-        self.engine = Engine(batch=self.config.derived.get("engine_batch", "on") != "off")
+        self.engine = Engine()
         self.topology = build_topology(self.config)
         self.stats = MachineStats.for_nprocs(self.config.nprocs)
         self.obs = EventLog()

@@ -20,7 +20,7 @@ fast path that claims the whole contention-free hop sequence inline and
 sleeps once, instead of driving each link through the generator-based
 ``Resource.acquire``.  An uncontended acquire never yields to the engine, so
 the fast path is bit-identical in simulated time and statistics to the
-scalar loop (``config.derived["net_batch"] = "off"`` restores it; see
+per-link loop, which contended and faulted transfers still take (see
 ``tests/test_invariants_highp.py``).
 """
 
@@ -61,10 +61,6 @@ class Network:
             Resource(engine, capacity=1, name=repr(link))
             for link in topology.links
         ]
-        self.batch_enabled = (
-            str(self.config.derived.get("net_batch", "on")).lower()
-            not in ("off", "0", "false")
-        )
         self.batch_fast_transfers = 0  # transfers that took the fast path
         self.timer_fast_transfers = 0  # transfers completed by an engine timer
         # per-link byte counters, allocated only when link stats are on
@@ -144,16 +140,14 @@ class Network:
             for i in link_idxs:
                 self.link_bytes[i] += nbytes
         pipe_ns = static_ns + nbytes / self.config.link_bandwidth_bpns
-        if (
-            self.batch_enabled
-            and not self.faults.enabled
-            and all(r.in_use < r.capacity and not r._waiters for r in resources)
+        if not self.faults.enabled and all(
+            r.in_use < r.capacity and not r._waiters for r in resources
         ):
             # batched fast path: every hop of the route is contention-free, so
             # claim the whole sequence inline (an uncontended acquire never
             # yields — see Resource.acquire) and sleep exactly once.  Releases
             # go through Resource.release so a waiter that arrived during the
-            # transfer gets the same FIFO handoff as on the scalar path.
+            # transfer gets the same FIFO handoff as on the per-link path.
             self.batch_fast_transfers += 1
             for r in resources:
                 r.total_acquires += 1
@@ -220,27 +214,22 @@ class Network:
     ) -> bool:
         """Timer fast path: deliver without spawning a transfer coroutine.
 
-        When the batched engine is active, the transfer is started by a
-        zero-delay timer (:meth:`_start_transfer`) that occupies exactly
-        the seq slot the scalar path's ``engine.spawn`` start entry would,
-        so completion ties between concurrent transfers order identically
-        in both modes.  At that slot, a contention-free route is claimed
-        inline and completed by a single arrival timer; a contended route
-        *adopts* ``fallback_fn(*fallback_args)`` — the caller's recovery-
-        capable transfer generator — running its first step immediately,
-        which is what the scalar engine would have been doing in that
-        slot.  Returns ``False`` without side effects when the caller must
-        spawn the fallback itself: scalar engine, fault injection, or host
-        profiling (so the ``network`` bucket stays truthful).  Either way
-        the simulated timeline is bit-identical.
+        The transfer is started by a zero-delay timer
+        (:meth:`_start_transfer`) that occupies exactly the seq slot an
+        ``engine.spawn`` start entry of the fallback would, so completion
+        ties between concurrent transfers order identically either way.
+        At that slot, a contention-free route is claimed inline and
+        completed by a single arrival timer; a contended route *adopts*
+        ``fallback_fn(*fallback_args)`` — the caller's recovery-capable
+        transfer generator — running its first step immediately, which is
+        what a spawned fallback would have been doing in that slot.
+        Returns ``False`` without side effects when the caller must spawn
+        the fallback itself: fault injection, or host profiling (so the
+        ``network`` bucket stays truthful).  Either way the simulated
+        timeline is bit-identical.
         """
         engine = self.engine
-        if (
-            not engine.batch_enabled
-            or not self.batch_enabled
-            or self.faults.enabled
-            or PROFILER.enabled
-        ):
+        if self.faults.enabled or PROFILER.enabled:
             return False
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
@@ -272,7 +261,7 @@ class Network:
             if r.in_use >= r.capacity or r._waiters:
                 # contended: run the caller's generator path from this very
                 # slot (no start entry, see Engine.adopt) — it re-walks the
-                # acquires exactly as the scalar engine would
+                # acquires exactly as a spawned transfer would
                 engine.adopt(fallback_fn(*fallback_args), name="net-xfer")
                 return
         self.stats.network_messages += 1

@@ -75,11 +75,11 @@ class _PendingRecv:
 
 
 class _FusedRecv:
-    """Completion slot for the fused (batched-engine) blocking receive.
+    """Completion slot for the fused blocking receive.
 
     Duck-types the only part of :class:`~repro.sim.engine.Event` the
     matching layer uses — ``fire(msg)`` — but instead of waking a waiter
-    list it walks the exact seq-allocation sequence the scalar receive
+    list it walks the exact seq-allocation sequence ``irecv`` + ``wait``
     would: one zero-delay entry (the ``WaitEvent`` resume), then the
     receiver-side copy delay that resumes the parked rank with the
     message.  Charges land at the same instants, in the same order, with
@@ -98,7 +98,7 @@ class _FusedRecv:
         if self.fired:
             raise SimError(f"fused recv on rank {self.ctx.rank} fired twice")
         self.fired = True
-        # seq parity: scalar fire() schedules the waiter's zero-delay resume
+        # seq parity: Event.fire() schedules the waiter's zero-delay resume
         # here; the copy delay is allocated when that resume runs
         self.ctx.machine.engine._schedule(0.0, None, (self._copy_leg, (msg,)))
 
@@ -109,7 +109,7 @@ class _FusedRecv:
         copy_ns = msg.nbytes / ctx.cfg.mpi_copy_bpns
         ctx._charge("comm", copy_ns)
         # resume the parked rank at copy completion; pass the copy-start
-        # time through so the obs emit uses the exact float the scalar
+        # time through so the obs emit uses the exact float the coroutine
         # path would record
         engine._schedule(copy_ns, self.proc, (msg, engine.now))
 
@@ -117,9 +117,9 @@ class _FusedRecv:
 def _isend_hop(proc, ctx: "MpiContext", msg: "_Msg") -> None:
     """Timer leg of the fused eager isend: runs at send-initiation + os_ns.
 
-    Mirrors the scalar resume at the same instant: match the message, then
+    Mirrors the coroutine resume at the same instant: match the message, then
     charge and schedule the sender-side buffer copy (one seq, allocated
-    here exactly as the scalar ``charged_delay`` would).
+    here exactly as ``charged_delay`` would).
     """
     ctx.world.post_message(msg)
     copy_ns = msg.nbytes / ctx.cfg.mpi_copy_bpns
@@ -141,15 +141,9 @@ class MpiWorld:
     def __init__(self, machine: Machine, nprocs: int):
         self.machine = machine
         self.nprocs = nprocs
-        # vectorised first-match queues; derived["mpi_match_batch"]="off"
-        # restores the scalar list scan (host-time only — matching order is
-        # identical either way, see repro.models.mpi.matchq)
-        self.match_batch = (
-            str(machine.config.derived.get("mpi_match_batch", "on")).lower()
-            not in ("off", "0", "false")
-        )
-        self.mailbox: List[MatchQueue] = [MatchQueue(self.match_batch) for _ in range(nprocs)]
-        self.pending: List[MatchQueue] = [MatchQueue(self.match_batch) for _ in range(nprocs)]
+        # indexed/vectorised first-match queues (see repro.models.mpi.matchq)
+        self.mailbox: List[MatchQueue] = [MatchQueue() for _ in range(nprocs)]
+        self.pending: List[MatchQueue] = [MatchQueue() for _ in range(nprocs)]
         # rank -> home node, precomputed: node_of_cpu is a per-message cost
         self.node_of: List[int] = [
             machine.config.node_of_cpu(r) for r in range(nprocs)
@@ -263,12 +257,12 @@ class MpiContext(BaseContext):
         self.stats.bytes_sent += size
         engine = self.machine.engine
         eager = size <= self.cfg.mpi_eager_bytes
-        if eager and engine.batch_enabled:
-            # fused fast path: one parked yield instead of two suspensions.
-            # The os-leg timer (_isend_hop) matches the message and schedules
-            # the buffer copy at exactly the scalar instants/seqs, so the
-            # timeline is bit-identical — only the host-side resume count
-            # drops (no charged_delay sub-generators, one gen.send).
+        if eager:
+            # fused path: one parked yield instead of two suspensions.  The
+            # os-leg timer (_isend_hop) matches the message and schedules the
+            # buffer copy at exactly the instants/seqs of the plain coroutine
+            # sequence (os charge, post, copy), so the timeline is identical
+            # to it — only the host-side resume count drops.
             self._charge("comm", self.cfg.mpi_os_ns)
             msg = _Msg(self.rank, dest, tag, payload, size, True)
             msg.seq = self._send_seq.get(dest, 0)
@@ -295,43 +289,24 @@ class MpiContext(BaseContext):
                     attrs={"tag": tag, "eager": True, "coll": tag >= _COLL_TAG_BASE},
                 )
             return Request("send", completion, self)
+        # rendezvous: the receiver's match releases the transfer
         yield from self.charged_delay("comm", self.cfg.mpi_os_ns)
-        msg = _Msg(self.rank, dest, tag, payload, size, eager)
+        msg = _Msg(self.rank, dest, tag, payload, size, False)
         msg.seq = self._send_seq.get(dest, 0)
         self._send_seq[dest] = msg.seq + 1
-        completion = self.machine.engine.event(name=_SEND_EVT)
-        if eager:
-            self.world.post_message(msg)
-            # copy into a system buffer, hand off to the network, done
-            yield from self.charged_delay("comm", size / self.cfg.mpi_copy_bpns)
-            # batched engine: a timer chain replaces the transfer coroutine
-            # (bit-identical timeline, see Network.transfer_async)
-            if not self.machine.network.transfer_async(
-                self.node,
-                self.world.node_of[dest],
-                msg.nbytes,
-                MpiWorld.deliver,
-                msg,
-                self._eager_transfer,
-                (msg,),
-            ):
-                self.machine.engine.spawn(
-                    self._eager_transfer(msg), name=f"mpi-xfer:{self.rank}->{dest}"
-                )
-            completion.fire()
-        else:
-            # the matched event must exist before the message becomes
-            # matchable, or a pre-posted receive would bind past it
-            msg.matched = self.machine.engine.event(name=f"rdv:{self.rank}->{dest}")
-            self.world.post_message(msg)
-            self.machine.engine.spawn(
-                self._rendezvous_transfer(msg, completion),
-                name=f"mpi-rdv:{self.rank}->{dest}",
-            )
+        completion = engine.event(name=_SEND_EVT)
+        # the matched event must exist before the message becomes
+        # matchable, or a pre-posted receive would bind past it
+        msg.matched = engine.event(name=f"rdv:{self.rank}->{dest}")
+        self.world.post_message(msg)
+        engine.spawn(
+            self._rendezvous_transfer(msg, completion),
+            name=f"mpi-rdv:{self.rank}->{dest}",
+        )
         if self._obs.enabled:
             self._obs.emit(
                 "msg_send", t0, self.rank, dest, size, dur=self.now - t0,
-                attrs={"tag": tag, "eager": eager, "coll": tag >= _COLL_TAG_BASE},
+                attrs={"tag": tag, "eager": False, "coll": tag >= _COLL_TAG_BASE},
             )
         return Request("send", completion, self)
 
@@ -457,30 +432,22 @@ class MpiContext(BaseContext):
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG, status: Optional[Status] = None
     ) -> Generator:
         """Blocking receive; returns the payload."""
-        if self.machine.engine.batch_enabled:
-            # fused fast path: park once; the or-leg timer posts the receive
-            # and the match/arrival callbacks (see _FusedRecv) replay the
-            # scalar wait/copy seq allocations exactly, so the timeline and
-            # per-rank charges are bit-identical to irecv + wait
-            self._charge("comm", self.cfg.mpi_or_ns)
-            msg, t0 = yield Hop(self.cfg.mpi_or_ns, _recv_hop, (self, source, tag))
-            if status is not None:
-                status.source = msg.src
-                status.tag = msg.tag
-                status.nbytes = msg.nbytes
-            if self._obs.enabled:
-                self._obs.emit(
-                    "msg_recv", t0, msg.src, self.rank, msg.nbytes,
-                    dur=self.now - t0, attrs={"tag": msg.tag},
-                )
-            return msg.payload
-        req = yield from self.irecv(source, tag)
-        payload = yield from req.wait()
+        # fused path: park once; the or-leg timer posts the receive and the
+        # match/arrival callbacks (see _FusedRecv) replay the wait/copy seq
+        # allocations of irecv + wait exactly, so the timeline and per-rank
+        # charges are identical to that coroutine sequence
+        self._charge("comm", self.cfg.mpi_or_ns)
+        msg, t0 = yield Hop(self.cfg.mpi_or_ns, _recv_hop, (self, source, tag))
         if status is not None:
-            status.source = req.status.source
-            status.tag = req.status.tag
-            status.nbytes = req.status.nbytes
-        return payload
+            status.source = msg.src
+            status.tag = msg.tag
+            status.nbytes = msg.nbytes
+        if self._obs.enabled:
+            self._obs.emit(
+                "msg_recv", t0, msg.src, self.rank, msg.nbytes,
+                dur=self.now - t0, attrs={"tag": msg.tag},
+            )
+        return msg.payload
 
     def _finish_recv(self, msg: _Msg, status: Status) -> Generator:
         """Receiver-side copy out of the system buffer; fills the status."""

@@ -122,9 +122,8 @@ def run_tasks(
 ) -> List[Tuple[Any, Optional[str], float]]:
     """Run ``fn`` over ``payloads``, optionally across a process pool.
 
-    The generic engine under :func:`run_cells`, also used directly by
-    harnesses whose unit of work is not a ``run_app`` cell (e.g. the
-    engine-equivalence rows of ``bench-engine``).
+    The generic engine under :func:`run_cells`, also usable directly by
+    harnesses whose unit of work is not a ``run_app`` cell.
 
     Args:
         fn: a module-level (picklable) callable of one argument.

@@ -22,33 +22,23 @@ Queue structure
 
 The engine orders work by ``(time, seq)`` where ``seq`` is a monotonically
 increasing tie-breaker, so events scheduled for the same virtual time fire
-in FIFO order and every simulation run is exactly reproducible.  Two
-interchangeable run loops implement that contract:
+in FIFO order and every simulation run is exactly reproducible.  The run
+loop is a calendar/heap hybrid that drains same-timestamp *event cohorts*
+in one pass.  Wakes scheduled for the current instant go to a FIFO *zero
+lane* (no heap traffic at all); future wakes go to an array-backed *delay
+lane* that buffers pushes and bulk-sorts them through NumPy
+(``np.lexsort`` + sorted-run merge) when cohorts are large, falling back
+to a small heap when they are not.
 
-* **Scalar** (``batch=False``, or ``derived["engine_batch"] = "off"`` on the
-  machine config): the pre-existing binary heap of ``(time, seq, thunk)``
-  entries, popped one event at a time.  This is the golden reference.
-* **Batched** (the default): a calendar/heap hybrid that drains
-  same-timestamp *event cohorts* in one pass.  Wakes scheduled for the
-  current instant go to a FIFO *zero lane* (no heap traffic at all); future
-  wakes go to an array-backed *delay lane* that buffers pushes and
-  bulk-sorts them through NumPy (``np.lexsort`` + sorted-run merge) when
-  cohorts are large, falling back to a small heap when they are not.  The
-  innermost merge kernel can be JIT-compiled by setting ``REPRO_JIT=1``
-  when numba is installed (see :mod:`repro.sim.jit`); without numba the
-  flag is a no-op.
+The cohort drain fires entries in exactly the ``(time, seq)`` order of a
+one-entry-at-a-time binary heap, the loop it replaced.  Fingerprints
+recorded from that heap loop (``tests/golden/timelines.json``) lock this
+across all programming models at P up to 128.
 
-Both loops consume the same ``seq`` stream in the same program order, so
-the batched drain is *bit-identical* to the scalar heap: same simulated
-timestamps, same event order, same results.  The golden equivalence suite
-(``tests/test_engine_batch_equivalence.py``) locks this across all
-programming models at P up to 128.
-
-The batched engine additionally exposes :meth:`Engine.call_after`, a
-lightweight timer that invokes a plain callback instead of resuming a
-coroutine.  The machine layers use it to complete uncontended network
-transfers without paying a full ``Process`` (generator frames, end event,
-two heap round-trips) per in-flight message.
+:meth:`Engine.call_after` is a lightweight timer that invokes a plain
+callback instead of resuming a coroutine.  The machine layers use it to
+complete uncontended network transfers without paying a full ``Process``
+(generator frames, end event, two heap round-trips) per in-flight message.
 """
 
 from __future__ import annotations
@@ -59,8 +49,6 @@ from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
-
-from repro.sim.jit import JIT_ENABLED, merge_runs
 
 __all__ = [
     "SimError",
@@ -171,7 +159,7 @@ class AnyOf:
 
 
 class Hop:
-    """Request (batched engine only): park, run ``fn`` later, resume on cue.
+    """Request: park, run ``fn`` later, resume on cue.
 
     ``yield Hop(ns, fn, args)`` suspends the yielding process and arranges
     for ``fn(proc, *args)`` to run after ``ns`` simulated ns as an engine
@@ -179,13 +167,12 @@ class Hop:
     for eventually resuming ``proc`` via ``Engine._schedule(delay, proc,
     value)``; the yield expression evaluates to that ``value``.
 
-    This is the batched engine's fused-protocol primitive: a runtime can
-    collapse a multi-suspension sequence (resume, bookkeeping, re-suspend)
-    into one parked yield plus timers, *provided* the callbacks allocate
-    exactly the ``seq`` numbers, at exactly the instants, that the plain
-    coroutine sequence would — that is what keeps the batched timeline
-    bit-identical to the scalar one.  Callers must gate on
-    ``engine.batch_enabled`` and fall back to the coroutine path otherwise.
+    This is the engine's fused-protocol primitive: a runtime can collapse
+    a multi-suspension sequence (resume, bookkeeping, re-suspend) into one
+    parked yield plus timers, *provided* the callbacks allocate exactly
+    the ``seq`` numbers, at exactly the instants, that the plain coroutine
+    sequence would — that is what keeps the fused timeline bit-identical
+    to the coroutine one.
     """
 
     __slots__ = ("ns", "fn", "args")
@@ -241,12 +228,12 @@ class _DelayLane:
     """Hybrid future-wake queue: a heap plus parallel NumPy wake arrays.
 
     Fine-grained pushes go straight onto ``_heap`` as ``(wake, seq, proc,
-    value)`` tuples — identical cost to the scalar engine's queue.  While
+    value)`` tuples — the cost of a plain heap queue.  While
     the run loop drains a *large* cohort it instead stages the cohort's
     pushes in ``_buf`` (see ``Engine._stage``); the post-cohort flush sorts
     the whole batch with ``np.lexsort`` and merges it into the sorted
-    parallel ``(wake_time, seq)`` arrays in one vectorised pass (optionally
-    numba-compiled, see :mod:`repro.sim.jit`), so N same-pass wakes cost
+    parallel ``(wake_time, seq)`` arrays in one vectorised pass, so N
+    same-pass wakes cost
     one kernel call instead of N heap round-trips.  Every staged entry
     carries a globally increasing ``seq`` larger than any already-merged
     entry's, so the equal-time merge order (existing entries first) is
@@ -255,7 +242,7 @@ class _DelayLane:
 
     Array-side entry payloads — ``(process, value)`` resume pairs or
     ``(None, (callback, args))`` timers — live in a dict keyed by ``seq``
-    so the arrays stay primitive and NumPy/numba-friendly.
+    so the arrays stay primitive.
     """
 
     __slots__ = (
@@ -304,10 +291,6 @@ class _DelayLane:
             if t1.size == 0:
                 self._times = bt
                 self._seqs = bs
-            elif JIT_ENABLED:
-                self._times, self._seqs = merge_runs(
-                    t1, self._seqs[self._head:], bt, bs
-                )
             else:
                 # every buffered seq is newer than every flushed one, so for
                 # equal times the existing run sorts first: searchsorted
@@ -406,18 +389,10 @@ class Engine:
         proc = eng.spawn(program(), name="p0")
         eng.run()
         assert eng.now == 10 and proc.result == 42
-
-    Args:
-        batch: ``True`` (default) runs the batched cohort-draining loop;
-            ``False`` runs the scalar reference heap.  Both produce
-            bit-identical simulated timelines — the switch only trades
-            host time.
     """
 
-    def __init__(self, batch: bool = True) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self.batch_enabled = bool(batch)
-        self._heap: list = []
         self._zero: deque = deque()
         self._lane = _DelayLane()
         # direct reference to the lane's heap list (never reassigned):
@@ -429,7 +404,7 @@ class Engine:
         self._live: int = 0
         self._error: Optional[BaseException] = None
         self._trace_hook: Optional[Callable[[float, Process, Any], None]] = None
-        # batched-loop statistics (bench-engine reports these)
+        # run-loop statistics (the repo benchmark's traced pass reads these)
         self.zero_lane_hits = 0
         self.cohorts_drained = 0
         self.max_cohort = 0
@@ -454,11 +429,11 @@ class Engine:
     def adopt(self, gen: Generator, name: str = "") -> Process:
         """Register a process and run its first step *immediately*.
 
-        Used by timer callbacks that stand in a slot where the scalar
-        engine would have been running an already-started process: unlike
-        :meth:`spawn`, no zero-delay start entry is queued (and hence no
-        ``seq`` is consumed), so the adopted generator's first suspension
-        lands on exactly the seq the scalar process's would.
+        Used by timer callbacks that stand in a slot where a spawned
+        process would already have started: unlike :meth:`spawn`, no
+        zero-delay start entry is queued (and hence no ``seq`` is
+        consumed), so the adopted generator's first suspension lands on
+        exactly the seq the spawned process's would.
         """
         proc = Process(self, gen, pid=len(self._procs), name=name or f"proc{len(self._procs)}")
         self._procs.append(proc)
@@ -476,29 +451,21 @@ class Engine:
                 f"non-finite wake time {wake} (now={now}, delay={delay})"
             )
         self._seq += 1
-        if self.batch_enabled:
-            if wake == now:
-                self._zero.append((proc, value))
-            elif self._stage:
-                # a large cohort is mid-drain: stage for one vectorised merge
-                self._lane._buf.append((wake, self._seq, proc, value))
-            else:
-                heapq.heappush(self._lheap, (wake, self._seq, proc, value))
+        if wake == now:
+            self._zero.append((proc, value))
+        elif self._stage:
+            # a large cohort is mid-drain: stage for one vectorised merge
+            self._lane._buf.append((wake, self._seq, proc, value))
         else:
-            heapq.heappush(self._heap, (wake, self._seq, proc, value))
+            heapq.heappush(self._lheap, (wake, self._seq, proc, value))
 
     def call_after(self, delay: float, fn: Callable, args: tuple = ()) -> None:
-        """Invoke ``fn(*args)`` after ``delay`` simulated ns (batched mode).
+        """Invoke ``fn(*args)`` after ``delay`` simulated ns.
 
         A timer consumes one ``seq`` exactly like a scheduled process
         resume, so callbacks interleave with coroutine wakes in FIFO
-        order at equal timestamps.  Only valid on a batched engine —
-        scalar mode keeps the pre-existing pure-coroutine event loop, so
-        callers must fall back to a spawned process when
-        ``engine.batch_enabled`` is false.
+        order at equal timestamps.
         """
-        if not self.batch_enabled:
-            raise SimError("call_after requires the batched engine")
         if not delay >= 0.0 or delay == _INF:
             raise ValueError(f"delay must be finite and >= 0, got {delay}")
         self.timer_calls += 1
@@ -532,11 +499,6 @@ class Engine:
             proc._blocked_on = "delay"
             self._schedule(request.ns, proc, None)
         elif type(request) is Hop:
-            if not self.batch_enabled:
-                raise SimError(
-                    f"process {proc.name!r} yielded Hop on the scalar engine; "
-                    "gate fused paths on engine.batch_enabled"
-                )
             proc._blocked_on = "hop"
             self._schedule(request.ns, None, (request.fn, (proc,) + request.args))
         elif isinstance(request, Event):
@@ -630,10 +592,7 @@ class Engine:
         """
         if until is not None and until < self.now:
             return self.now
-        if self.batch_enabled:
-            self._run_batched(until)
-        else:
-            self._run_scalar(until)
+        self._run_batched(until)
         if self._live > 0 and not self._queued():
             blocked = [p for p in self._procs if not p.finished and not p.internal]
             names = ", ".join(f"{p.name}({p._blocked_on})" for p in blocked[:12])
@@ -642,19 +601,7 @@ class Engine:
 
     def _queued(self) -> bool:
         """True when any entry is still waiting to fire (early ``until`` return)."""
-        return bool(self._heap) or bool(self._zero) or len(self._lane) > 0
-
-    def _run_scalar(self, until: Optional[float]) -> None:
-        """The golden reference loop: one heap entry at a time."""
-        heap = self._heap
-        while heap:
-            time, _seq, proc, value = heap[0]
-            if until is not None and time > until:
-                self.now = until
-                return
-            heapq.heappop(heap)
-            self.now = time
-            self._step(proc, value)
+        return bool(self._zero) or len(self._lane) > 0
 
     def _run_batched(self, until: Optional[float]) -> None:
         """Cohort drain: zero lane first, then whole same-timestamp cohorts."""
@@ -705,7 +652,7 @@ class Engine:
                     cohorts += 1
                     if not lheap or lheap[0][0] != t:
                         # singleton cohort: the fine-grained common case,
-                        # exactly one heap pop — scalar-loop cost
+                        # exactly one heap pop
                         if max_cohort == 0:
                             max_cohort = 1
                         proc = entry[2]
@@ -811,9 +758,8 @@ class Engine:
     # -- introspection ---------------------------------------------------------
 
     def counters(self) -> dict:
-        """Batched-loop statistics for benchmarks (zeros in scalar mode)."""
+        """Run-loop statistics for benchmarks."""
         return {
-            "batch": self.batch_enabled,
             "events": self._seq,
             "zero_lane_hits": self.zero_lane_hits,
             "cohorts_drained": self.cohorts_drained,

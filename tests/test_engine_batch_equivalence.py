@@ -20,18 +20,13 @@ Locked quantities, all bit-identical (no tolerance):
 P=64 and P=128 rows carry the ``nightly`` marker.
 """
 
-import os
+import random
 
 import pytest
 
-from repro.harness.enginebench import (
-    SCALAR_DERIVED,
-    _EQUIV_PROGRAMS,
-    _trace_fingerprint,
-)
 from repro.machine import Machine, MachineConfig
-from repro.models.registry import run_program
-from tests.timeline_golden import assert_matches_recording
+from repro.models.mpi.matchq import ANY, MatchQueue
+from tests.reference import ListScanQueue, assert_matches_recording
 
 MODELS = ("mpi", "shmem", "sas", "hybrid")
 PROCS = [1, 8, pytest.param(64, marks=pytest.mark.nightly),
@@ -44,92 +39,16 @@ class TestGoldenTimelines:
     def test_trace_and_stats_identical(self, model, nprocs):
         assert_matches_recording(f"engine/{model}-{nprocs}")
 
-    def test_opt_out_restores_scalar_engine(self):
-        on = Machine(MachineConfig(nprocs=8))
-        off = Machine(MachineConfig(nprocs=8, derived=dict(SCALAR_DERIVED)))
-        assert on.engine.batch_enabled
-        assert not off.engine.batch_enabled
-        assert not off.network.batch_enabled
-
-    def test_scalar_arm_takes_no_fast_paths(self):
-        """The reference arm must really be the pre-PR pipeline."""
-        program, args = _EQUIV_PROGRAMS["mpi"]
-        cfg = MachineConfig(nprocs=8, derived=dict(SCALAR_DERIVED))
-        machine = Machine(cfg)
-        run_program("mpi", program, 8, *args, machine=machine)
-        assert machine.network.batch_fast_transfers == 0
-        assert machine.network.timer_fast_transfers == 0
-        c = machine.engine.counters()
-        assert c["zero_lane_hits"] == 0
-        assert c["timer_calls"] == 0
-        mc = machine.mpi_world.match_counters()
-        assert mc["index_hits"] == 0
-        assert mc["vector_scans"] == 0
-
     def test_batched_arm_exercises_fast_paths(self):
-        program, args = _EQUIV_PROGRAMS["mpi"]
         machine = Machine(MachineConfig(nprocs=8))
-        run_program("mpi", program, 8, *args, machine=machine)
+        assert_matches_recording("engine/mpi-8", machine=machine)
         assert machine.network.timer_fast_transfers > 0
         assert machine.engine.counters()["zero_lane_hits"] > 0
 
-    def test_engine_flag_alone_keeps_timeline(self):
-        """--engine-batch off with net/match batching still on: same times."""
-        program, args = _EQUIV_PROGRAMS["mpi"]
-        cfg = MachineConfig(nprocs=8, derived={"engine_batch": "off"})
-        a = run_program("mpi", program, 8, *args, config=cfg, trace=True)
-        b = run_program("mpi", program, 8, *args,
-                        config=MachineConfig(nprocs=8), trace=True)
-        assert a.elapsed_ns == b.elapsed_ns
-        assert _trace_fingerprint(a) == _trace_fingerprint(b)
-
-
-class TestJitGuard:
-    def test_jit_env_flag_is_safe_without_numba(self, monkeypatch):
-        """REPRO_JIT=1 must be a clean no-op when numba is missing, and the
-        merge helper must produce identical results either way."""
-        import importlib
-
-        import numpy as np
-
-        monkeypatch.setenv("REPRO_JIT", "1")
-        import repro.sim.jit as jitmod
-
-        jitmod = importlib.reload(jitmod)
-        try:
-            times = np.array([1.0, 3.0, 5.0])
-            seqs = np.array([1, 3, 5], dtype=np.int64)
-            bt = np.array([2.0, 4.0])
-            bs = np.array([2, 4], dtype=np.int64)
-            mt, ms = jitmod.merge_runs(times, seqs, bt, bs)
-            assert list(mt) == [1.0, 2.0, 3.0, 4.0, 5.0]
-            assert list(ms) == [1, 2, 3, 4, 5]
-            have_numba = True
-            try:
-                import numba  # noqa: F401
-            except ImportError:
-                have_numba = False
-            assert jitmod.JIT_ENABLED == have_numba
-            assert "NumPy" in jitmod.jit_status() or have_numba
-        finally:
-            monkeypatch.delenv("REPRO_JIT", raising=False)
-            importlib.reload(jitmod)
-
-    @pytest.mark.skipif(
-        not bool(os.environ.get("REPRO_JIT")), reason="REPRO_JIT not requested"
-    )
-    def test_jit_requested_and_numba_present(self):
-        pytest.importorskip("numba")
-        import repro.sim.jit as jitmod
-
-        assert jitmod.JIT_ENABLED
-
 
 class TestMatchIndex:
-    def _q(self, batch=True):
-        from repro.models.mpi.matchq import MatchQueue
-
-        return MatchQueue(batch=batch)
+    def _q(self):
+        return MatchQueue()
 
     def test_concrete_probe_uses_index(self):
         q = self._q()
@@ -159,8 +78,6 @@ class TestMatchIndex:
         assert len(q) == 2
 
     def test_wildcard_entries_disable_index_route(self):
-        from repro.models.mpi.matchq import ANY
-
         q = self._q()
         q.append("w", src=ANY, tag=5)
         q.append("c", src=2, tag=5)
@@ -181,23 +98,10 @@ class TestMatchIndex:
         q.append("new", src=0, tag=0)
         assert q.pop_first(0, 0) == "new"
 
-    def test_scalar_mode_never_indexes(self):
-        q = self._q(batch=False)
-        for i in range(64):
-            q.append(i, src=0, tag=i)
-        assert q.pop_first(0, 63) == 63
-        assert q.index_hits == 0
-        assert q.vector_scans == 0
-        assert q.scalar_scans == 1
-
     def test_match_order_equivalence_random(self):
-        """Index/vector routes return exactly what the scalar scan would."""
-        import random
-
-        from repro.models.mpi.matchq import ANY
-
+        """Index/vector routes return exactly what a list scan would."""
         rng = random.Random(1234)
-        fast, slow = self._q(batch=True), self._q(batch=False)
+        fast, slow = self._q(), ListScanQueue()
         live = 0
         for step in range(4000):
             if live and rng.random() < 0.45:

@@ -46,7 +46,7 @@ from repro.machine.topology import Topology
 from repro.models.mpi.matchq import ANY, MatchQueue
 from repro.models.registry import run_program
 from repro.obs import check_sync
-from tests.timeline_golden import assert_matches_recording
+from tests.reference import ListScanQueue, assert_matches_recording
 
 MODELS = ("mpi", "shmem", "sas", "hybrid")
 
@@ -293,21 +293,29 @@ def test_mpi_match_batch_golden_equivalence(nprocs):
     assert counters["head_hits"] + counters["index_hits"] > 0
 
 
-@pytest.mark.parametrize(
-    "derived",
-    [{"net_batch": "off", "mpi_match_batch": "off"}, {"dir_sharers": "coarse"}],
-    ids=["all-scalar", "forced-coarse"],
-)
+@pytest.mark.parametrize("derived", [{"dir_sharers": "coarse"}], ids=["forced-coarse"])
 def test_combined_derived_overrides_accepted(derived):
     """Override combinations run and stay self-consistent at P=64."""
-    result, machine = _adapt_mpi_run(64, dict(derived))
+    result, _ = _adapt_mpi_run(64, dict(derived))
     assert result.elapsed_ns > 0
-    if "net_batch" in derived:
-        assert machine.network.batch_fast_transfers == 0
+
+
+@pytest.mark.parametrize("key", ["engine_batch", "net_batch", "mpi_match_batch", "sas_batch"])
+def test_retired_scalar_switches_rejected(key):
+    """The removed reference-path switches fail loudly instead of being ignored."""
+    with pytest.raises(ValueError, match=f"derived\\['{key}'\\] was removed"):
+        MachineConfig(nprocs=8, derived={key: "off"})
+
+
+def test_wildcard_flood_matches_recording():
+    """ANY_SOURCE probes over deep queues take the vector route, bit-identically."""
+    machine = Machine(MachineConfig(nprocs=8))
+    assert_matches_recording("wildcard-flood/8", machine=machine)
+    assert machine.mpi_world.match_counters()["vector_scans"] > 0
 
 
 # ---------------------------------------------------------------------------
-# MatchQueue unit equivalence (randomised scalar-vs-vector)
+# MatchQueue unit equivalence (randomised, against a plain list scan)
 # ---------------------------------------------------------------------------
 
 
@@ -328,8 +336,8 @@ def _random_ops(seed: int, n: int):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_match_queue_vector_equals_scalar(seed):
-    """Random wildcard workloads: batch and scalar queues stay in lockstep."""
-    fast, slow = MatchQueue(batch=True), MatchQueue(batch=False)
+    """Random wildcard workloads: the vector route and a list scan stay in lockstep."""
+    fast, slow = MatchQueue(), ListScanQueue()
     for op in _random_ops(seed, 600):
         if op[0] == "append":
             _, item, src, tag = op
@@ -340,12 +348,12 @@ def test_match_queue_vector_equals_scalar(seed):
             assert fast.pop_first(src, tag) == slow.pop_first(src, tag)
         assert len(fast) == len(slow)
     assert list(fast) == list(slow)
-    assert fast.vector_scans > 0 and slow.vector_scans == 0
+    assert fast.vector_scans > 0
 
 
 def test_match_queue_wildcard_free_fast_case():
-    """The concrete-key vector branch matches FIFO-first-match exactly."""
-    fast, slow = MatchQueue(batch=True), MatchQueue(batch=False)
+    """The concrete-key routes match FIFO-first-match exactly."""
+    fast, slow = MatchQueue(), ListScanQueue()
     for i in range(200):
         fast.append(i, i % 7, i % 5)
         slow.append(i, i % 7, i % 5)

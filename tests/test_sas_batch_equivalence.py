@@ -17,7 +17,7 @@ from repro.apps.adapt import ADAPT_PROGRAMS, AdaptConfig, build_script
 from repro.machine import Machine, MachineConfig
 from repro.machine.directory import TRANSACTION_KINDS
 from repro.models.registry import run_program
-from tests.timeline_golden import assert_matches_recording
+from tests.reference import assert_matches_recording
 
 # mesh_n=12 is the smallest workload whose shared-array sweeps are long
 # enough (>= 16 cache lines) to actually enter the vectorised fast path.
@@ -150,21 +150,3 @@ class TestAppEquivalence:
         for r in res.rank_results:
             assert r == pytest.approx(script.reference_checksum, abs=1e-9)
 
-
-class TestMicrobench:
-    def test_record_shape_and_equivalence(self):
-        from repro.harness.profile import run_sas_microbench
-
-        rec = run_sas_microbench(nprocs=2, elements=2000, sweeps=1, compare=True)
-        assert rec["identical_simulated_ns"] is True
-        assert rec["batch_enabled"] is True
-        assert rec["lines_touched"] > 0
-        assert rec["speedup"] == pytest.approx(
-            rec["scalar"]["host_seconds"] / rec["batch"]["host_seconds"]
-        )
-        assert rec["workload"] == {
-            "model": "sas",
-            "nprocs": 2,
-            "elements_per_rank": 2000,
-            "sweeps": 1,
-        }

@@ -50,7 +50,7 @@ class TestSignatures:
             run_signature("jacobi", "mpi", 4, JacobiConfig(nx=32, ny=32, iters=5)),
             run_signature("jacobi", "mpi", 4, SMALL, placement="round-robin"),
             run_signature("jacobi", "mpi", 4, SMALL, faults="drizzle"),
-            run_signature("jacobi", "mpi", 4, SMALL, derived={"engine_batch": "off"}),
+            run_signature("jacobi", "mpi", 4, SMALL, derived={"link_stats": "on"}),
         ]
         keys = {cache_key(v) for v in variants}
         assert base not in keys and len(keys) == len(variants)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Deadlock, Delay, Engine, SimError
-from repro.sim.engine import WaitEvent
+from repro.sim.engine import WaitEvent, _DelayLane
 
 
 def test_delay_advances_time():
@@ -330,7 +330,27 @@ def test_sequential_any_of_races_accumulate_stale_watchers():
     assert proc.result == "done"
 
 
-# -- PR 6: batched engine core ------------------------------------------------
+# -- batched engine core ---------------------------------------------------------
+
+
+class _BulkLane(_DelayLane):
+    """A delay lane that sends every staged cohort through the array merge."""
+
+    __slots__ = ()
+    BULK = 1
+
+
+def _engine(force_bulk: bool) -> Engine:
+    """An engine whose delay lane, with ``force_bulk``, always takes the array path.
+
+    Both lane representations must produce the same timeline, so tests
+    parametrised over this run once per representation.
+    """
+    eng = Engine()
+    if force_bulk:
+        eng._lane = _BulkLane()
+        eng._lheap = eng._lane._heap
+    return eng
 
 
 def test_delay_rejects_non_finite():
@@ -347,10 +367,10 @@ def test_schedule_rejects_non_finite_wake():
         eng._schedule(float("nan"), None, None)
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_run_until_boundary_is_inclusive(batch):
+@pytest.mark.parametrize("force_bulk", [True, False])
+def test_run_until_boundary_is_inclusive(force_bulk):
     """An event scheduled exactly at ``until`` fires; later ones stay queued."""
-    eng = Engine(batch=batch)
+    eng = _engine(force_bulk)
     fired = []
 
     def prog():
@@ -368,9 +388,9 @@ def test_run_until_boundary_is_inclusive(batch):
     assert eng.now == 15
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_run_until_advances_time_without_events(batch):
-    eng = Engine(batch=batch)
+@pytest.mark.parametrize("force_bulk", [True, False])
+def test_run_until_advances_time_without_events(force_bulk):
+    eng = _engine(force_bulk)
 
     def prog():
         yield Delay(100)
@@ -382,9 +402,9 @@ def test_run_until_advances_time_without_events(batch):
     assert eng.now == 100
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_run_until_in_the_past_is_a_noop(batch):
-    eng = Engine(batch=batch)
+@pytest.mark.parametrize("force_bulk", [True, False])
+def test_run_until_in_the_past_is_a_noop(force_bulk):
+    eng = _engine(force_bulk)
 
     def prog():
         yield Delay(20)
@@ -398,10 +418,10 @@ def test_run_until_in_the_past_is_a_noop(batch):
     assert proc.result == "ok"
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_run_until_never_refires_boundary_events(batch):
+@pytest.mark.parametrize("force_bulk", [True, False])
+def test_run_until_never_refires_boundary_events(force_bulk):
     """Events at the boundary fire exactly once across successive runs."""
-    eng = Engine(batch=batch)
+    eng = _engine(force_bulk)
     hits = []
 
     def prog():
@@ -413,19 +433,6 @@ def test_run_until_never_refires_boundary_events(batch):
     eng.run(until=10)
     eng.run()
     assert hits == [1]
-
-
-def test_hop_requires_batched_engine():
-    from repro.sim.engine import Hop
-
-    eng = Engine(batch=False)
-
-    def prog():
-        yield Hop(5.0, lambda proc: None, ())
-
-    eng.spawn(prog())
-    with pytest.raises(SimError, match="batch_enabled"):
-        eng.run()
 
 
 def test_hop_rejects_bad_delay():
@@ -440,7 +447,7 @@ def test_hop_rejects_bad_delay():
 def test_hop_runs_callback_and_callback_resumes_process():
     from repro.sim.engine import Hop
 
-    eng = Engine(batch=True)
+    eng = Engine()
     log = []
 
     def leg(proc, tag):
@@ -456,14 +463,8 @@ def test_hop_runs_callback_and_callback_resumes_process():
     assert log == [("hop", 5.0), ("resumed", 8.0)]
 
 
-def test_call_after_requires_batched_engine():
-    eng = Engine(batch=False)
-    with pytest.raises(SimError, match="batched engine"):
-        eng.call_after(1.0, lambda: None)
-
-
 def test_call_after_interleaves_fifo_with_process_wakes():
-    eng = Engine(batch=True)
+    eng = Engine()
     order = []
 
     def prog(tag):
@@ -481,7 +482,7 @@ def test_call_after_interleaves_fifo_with_process_wakes():
 
 
 def test_adopt_runs_first_step_immediately():
-    eng = Engine(batch=True)
+    eng = Engine()
     steps = []
 
     def adoptee():
@@ -527,8 +528,27 @@ def test_batched_and_scalar_timelines_identical():
     ])
 
 
+def test_bulk_merge_keeps_equal_wake_times_in_seq_order():
+    """A wake staged onto an array entry's exact time fires after it (FIFO by seq)."""
+    eng = _engine(force_bulk=True)
+    order = []
+
+    def prog(tag, delays):
+        for d in delays:
+            yield Delay(d)
+        order.append((tag, eng.now))
+
+    # at t=1 both wake in one cohort: a's wake for t=5 is merged into the
+    # arrays; at t=3 b stages another t=5 wake, with a later seq
+    eng.spawn(prog("a", [1, 4]))
+    eng.spawn(prog("b", [1, 2, 2]))
+    eng.run()
+    assert eng.counters()["lane_bulk_flushes"] >= 2
+    assert order == [("a", 5.0), ("b", 5.0)]
+
+
 def test_engine_counters_report_batched_activity():
-    eng = Engine(batch=True)
+    eng = Engine()
 
     def prog():
         yield Delay(1)
@@ -537,18 +557,17 @@ def test_engine_counters_report_batched_activity():
     eng.spawn(prog())
     eng.run()
     c = eng.counters()
-    assert c["batch"] is True
     assert c["events"] > 0
     assert c["zero_lane_hits"] >= 1
 
 
-# -- PR 6: AnyOf losing watchers under the cohort drain -----------------------
+# -- AnyOf losing watchers under the cohort drain -----------------------------
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_any_of_late_loser_does_not_resurrect_process(batch):
+@pytest.mark.parametrize("force_bulk", [True, False])
+def test_any_of_late_loser_does_not_resurrect_process(force_bulk):
     """A losing event firing *after* the race must not resume the racer."""
-    eng = Engine(batch=batch)
+    eng = _engine(force_bulk)
     winner = eng.event("winner")
     loser = eng.event("loser")
     resumes = []
@@ -573,11 +592,11 @@ def test_any_of_late_loser_does_not_resurrect_process(batch):
     assert resumes == [(0, "w", 1.0), ("after", 11.0)]
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_any_of_same_instant_cohort_picks_lowest_index(batch):
+@pytest.mark.parametrize("force_bulk", [True, False])
+def test_any_of_same_instant_cohort_picks_lowest_index(force_bulk):
     """Two events firing in one same-timestamp cohort: first fire wins,
     and the loser's watcher dies without a second resume."""
-    eng = Engine(batch=batch)
+    eng = _engine(force_bulk)
     evs = [eng.event(f"e{i}") for i in range(2)]
 
     def firer(i):
@@ -596,10 +615,10 @@ def test_any_of_same_instant_cohort_picks_lowest_index(batch):
     assert proc.result == (0, "v0", 5.0)
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_nested_any_of_inside_all_of_under_cohort_drain(batch):
+@pytest.mark.parametrize("force_bulk", [True, False])
+def test_nested_any_of_inside_all_of_under_cohort_drain(force_bulk):
     """AllOf over end-events of AnyOf racers, all deciding in one cohort."""
-    eng = Engine(batch=batch)
+    eng = _engine(force_bulk)
     n = 4
     winners = [eng.event(f"w{i}") for i in range(n)]
     losers = [eng.event(f"l{i}") for i in range(n)]

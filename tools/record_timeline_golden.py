@@ -4,12 +4,13 @@
 The batched event engine, the timer-driven network transfers, the
 indexed MPI match queues and the vectorised CC-SAS directory path were
 each proven bit-identical to a scalar twin kept behind a
-``derived[...] = "off"`` switch.  This script replaces those live twins
-with recordings: it runs every configuration of the equivalence
-matrices on the scalar reference stack (all four switches off), checks
-that the default stack produces the same fingerprint, and writes
-``tests/golden/timelines.json``.  The suites then compare the current
-tree against that file.
+``derived[...] = "off"`` switch.  Those twins are gone; their
+recordings replace them.  ``tests/golden/timelines.json`` was first
+written with every configuration of the equivalence matrices run on the
+scalar reference stack (all four switches off), after checking that
+the default stack and each switch turned off alone gave the same
+fingerprint.  The suites compare the current tree against that file,
+and this script rewrites it from the current tree.
 
 A fingerprint holds elapsed nanoseconds (by ``repr``, so float-exact),
 SHA-256 digests of the per-rank results and per-CPU statistics, the
@@ -41,7 +42,7 @@ import hashlib
 import json
 import os
 import sys
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -54,14 +55,6 @@ ENGINE_PROCS = (1, 8, 64, 128)
 ADAPT_MPI_PROCS = (64, 128)
 ADAPT_SAS_PROCS = (1, 4, 8)
 WILDCARD_PROCS = (8,)
-
-#: the scalar reference stack the recordings were taken on
-REFERENCE_DERIVED = {
-    "engine_batch": "off",
-    "net_batch": "off",
-    "mpi_match_batch": "off",
-    "sas_batch": "off",
-}
 
 _HALO_TAG = 5
 _FLOOD_TAG = 100
@@ -232,11 +225,10 @@ def cases() -> List[str]:
     return names
 
 
-def run_case(name: str, derived: Optional[Dict[str, str]] = None, machine: Any = None):
+def run_case(name: str, machine: Any = None):
     """Run one case; returns its ``ProgramResult``.
 
-    ``machine`` lets a caller inspect fast-path counters after the run;
-    ``derived`` overlays machine-config switches.
+    ``machine`` lets a caller inspect fast-path counters after the run.
     """
     from repro.apps.adapt import ADAPT_PROGRAMS, build_script
     from repro.machine import Machine, MachineConfig
@@ -247,7 +239,7 @@ def run_case(name: str, derived: Optional[Dict[str, str]] = None, machine: Any =
         model, p = p.split("-")
     nprocs = int(p)
     if machine is None:
-        machine = Machine(MachineConfig(nprocs=nprocs, derived=dict(derived or {})))
+        machine = Machine(MachineConfig(nprocs=nprocs))
     if kind == "engine":
         program, args = ENGINE_PROGRAMS[model]
         return run_program(model, program, nprocs, *args, machine=machine, trace=True)
@@ -281,15 +273,7 @@ def fingerprint(result) -> Dict[str, Any]:
 def main() -> int:
     rows = {}
     for name in cases():
-        row = fingerprint(run_case(name, REFERENCE_DERIVED))
-        # the default stack, and each switch turned off alone, must agree
-        arms = [{}] + [{key: "off"} for key in REFERENCE_DERIVED]
-        for derived in arms:
-            if fingerprint(run_case(name, derived)) != row:
-                print(f"{name}: {derived or 'the default stack'} diverges from "
-                      "the scalar reference", file=sys.stderr)
-                return 1
-        rows[name] = row
+        row = rows[name] = fingerprint(run_case(name))
         print(f"recorded {name:<20} elapsed={row['elapsed_ns']} events={row.get('events', '-')}")
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w") as fh:
