@@ -28,7 +28,10 @@ Cases:
   large enough for its shared-array sweeps to take the vectorised
   directory path;
 * ``wildcard-flood/<P>``: MPI receives with ``ANY_SOURCE`` over deep
-  unexpected queues, the matching pattern the bucket index cannot answer.
+  unexpected queues, the matching pattern the bucket index cannot answer;
+* ``nbody-<model>/<P>``: Barnes–Hut under MPI, SHMEM and CC-SAS at P in
+  {8, 64}, whose per-rank tree builds, force walks and cost-zones
+  splits all feed the simulated time.
 
 Re-run only when an intentional simulated-time change lands (and say so
 in the commit):
@@ -55,6 +58,8 @@ ENGINE_PROCS = (1, 8, 64, 128)
 ADAPT_MPI_PROCS = (64, 128)
 ADAPT_SAS_PROCS = (1, 4, 8)
 WILDCARD_PROCS = (8,)
+NBODY_MODELS = ("mpi", "shmem", "sas")
+NBODY_PROCS = (8, 64)
 
 _HALO_TAG = 5
 _FLOOD_TAG = 100
@@ -213,6 +218,12 @@ def adapt_workload(model: str):
     return AdaptConfig(mesh_n=8, phases=2, solver_iters=2)
 
 
+def nbody_workload():
+    from repro.apps.nbody import NBodyConfig
+
+    return NBodyConfig(n=128, steps=3)
+
+
 # -- cases -----------------------------------------------------------------------
 
 
@@ -222,6 +233,7 @@ def cases() -> List[str]:
     names += [f"adapt-mpi/{p}" for p in ADAPT_MPI_PROCS]
     names += [f"adapt-sas/{p}" for p in ADAPT_SAS_PROCS]
     names += [f"wildcard-flood/{p}" for p in WILDCARD_PROCS]
+    names += [f"nbody-{m}/{p}" for m in NBODY_MODELS for p in NBODY_PROCS]
     return names
 
 
@@ -231,6 +243,7 @@ def run_case(name: str, machine: Any = None):
     ``machine`` lets a caller inspect fast-path counters after the run.
     """
     from repro.apps.adapt import ADAPT_PROGRAMS, build_script
+    from repro.apps.nbody import NBODY_PROGRAMS
     from repro.machine import Machine, MachineConfig
     from repro.models.registry import run_program
 
@@ -245,7 +258,9 @@ def run_case(name: str, machine: Any = None):
         return run_program(model, program, nprocs, *args, machine=machine, trace=True)
     if kind == "wildcard-flood":
         return run_program("mpi", wildcard_flood_program, nprocs, 48, machine=machine)
-    model = kind.split("-")[1]
+    app, model = kind.split("-")
+    if app == "nbody":
+        return run_program(model, NBODY_PROGRAMS[model], nprocs, nbody_workload(), machine=machine)
     script = build_script(adapt_workload(model), nprocs)
     return run_program(model, ADAPT_PROGRAMS[model], nprocs, script, machine=machine)
 
