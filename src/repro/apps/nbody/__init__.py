@@ -9,6 +9,11 @@ All three implementations build the *canonical* region quadtree (structure
 and centre-of-mass sums are insertion-order independent — see
 :mod:`repro.apps.nbody.tree`), so they produce bit-identical trajectories;
 only how body data and tree data are shared differs.
+
+Every simulated rank builds the whole tree each step and is charged
+``nodes * tree_node_ns`` for it.  On the host the ranks of a step share one
+build per distinct position set (:meth:`QuadTree.replicated`), since they
+would all build the same tree from the same bytes.
 """
 
 from repro.apps.nbody.common import NBodyConfig, cost_ranges, reference_checksum

@@ -108,9 +108,10 @@ def step_bodies(
     Returns (new positions slice, new velocities slice, per-body
     interaction counts, nodes created, visited node ids).  Positions are
     clipped to the unit square so the next tree build never overflows.
+    ``nodes`` is the full tree's size, what this rank's build costs, even
+    when the host shares the tree with the step's other ranks.
     """
-    tree = QuadTree()
-    nodes = tree.build(pos, mass)
+    tree, nodes = QuadTree.replicated(pos, mass)
     counts = np.zeros(hi - lo)
     acc = np.zeros((hi - lo, 2))
     visited: set = set()

@@ -4,7 +4,9 @@ Each rank holds all bodies, builds the full quadtree locally each step (the
 classic "replicated tree" parallelisation of the era's message-passing
 codes), computes forces for its cost-zones range, and allgathers the
 updated slices — positions, velocities, and measured per-body interaction
-costs (the costs feed the next step's repartitioning).
+costs (the costs feed the next step's repartitioning).  Each simulated rank
+is charged for its build; the host builds one tree per distinct position
+set and the ranks share it (:meth:`QuadTree.replicated`).
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ lines.  The per-step tree is still built privately per rank from the shared
 positions (the classic SAS trade-off: reading n bodies through the
 coherence protocol every step), and the tree's node visits during the force
 walk are charged against a shared node array, modelling a shared tree's
-read traffic.
+read traffic.  Each simulated rank is charged for its private build; the
+host builds one tree per distinct position set and the ranks share it
+(:meth:`QuadTree.replicated`).
 """
 
 from __future__ import annotations
