@@ -33,8 +33,8 @@ def assert_matches_recording(name: str, machine=None):
 
     Returns the run's ``ProgramResult`` for further checks.
     """
-    result = recorder.run_case(name, machine=machine)
-    assert recorder.fingerprint(result) == GOLDEN[name]
+    result, row = recorder.record_case(name, machine=machine)
+    assert row == GOLDEN[name]
     return result
 
 

@@ -15,7 +15,9 @@ Locked quantities, all bit-identical (no tolerance):
 * the complete ``repro.obs`` event stream (kind, t, src, dst, nbytes,
   dur and every attribute, in emission order),
 * per-CPU statistics (the float-sum order inside each rank matters),
-* per-rank program results.
+* per-rank program results,
+* for the ``contended-net`` rows, every link's bytes, acquires, claim
+  waits, queued ns and busy ns.
 
 P=64 and P=128 rows carry the ``nightly`` marker.
 """
@@ -26,7 +28,7 @@ import pytest
 
 from repro.machine import Machine, MachineConfig
 from repro.models.mpi.matchq import ANY, MatchQueue
-from tests.reference import ListScanQueue, assert_matches_recording
+from tests.reference import ListScanQueue, assert_matches_recording, recorder
 
 MODELS = ("mpi", "shmem", "sas", "hybrid")
 PROCS = [1, 8, pytest.param(64, marks=pytest.mark.nightly),
@@ -38,6 +40,16 @@ class TestGoldenTimelines:
     @pytest.mark.parametrize("model", MODELS)
     def test_trace_and_stats_identical(self, model, nprocs):
         assert_matches_recording(f"engine/{model}-{nprocs}")
+
+    @pytest.mark.parametrize("nprocs", (8, 64))
+    @pytest.mark.parametrize("model", ("shmem", "mpi"))
+    def test_contended_network_identical(self, model, nprocs):
+        """All-to-all traffic that queues on links: timeline and per-link stats."""
+        name = f"contended-net/{model}/{nprocs}"
+        machine = recorder.case_machine(name)
+        assert_matches_recording(name, machine=machine)
+        # the case really queued transfers behind busy links
+        assert sum(ls.claim_waits for ls in machine.network.link_stats()) > 0
 
     def test_batched_arm_exercises_fast_paths(self):
         machine = Machine(MachineConfig(nprocs=8))

@@ -31,7 +31,14 @@ Cases:
   unexpected queues, the matching pattern the bucket index cannot answer;
 * ``nbody-<model>/<P>``: Barnes–Hut under MPI, SHMEM and CC-SAS at P in
   {8, 64}, whose per-rank tree builds, force walks and cost-zones
-  splits all feed the simulated time.
+  splits all feed the simulated time;
+* ``contended-net/<model>/<P>``: all-to-all traffic dense enough that
+  most transfers queue for a busy link — SHMEM ``put``/``iput`` with a
+  blocking ``get`` per rank, and MPI eager ``isend`` with one rendezvous
+  send per rank — traced, at P in {8, 64}, with per-link statistics on.
+  These rows also carry the SHA-256 of ``Network.link_stats()`` (bytes,
+  acquires, claim waits, queued ns and busy ns per link), which pins
+  per-link FIFO queueing.
 
 Re-run only when an intentional simulated-time change lands (and say so
 in the commit):
@@ -60,6 +67,8 @@ ADAPT_SAS_PROCS = (1, 4, 8)
 WILDCARD_PROCS = (8,)
 NBODY_MODELS = ("mpi", "shmem", "sas")
 NBODY_PROCS = (8, 64)
+CONTENDED_MODELS = ("shmem", "mpi")
+CONTENDED_PROCS = (8, 64)
 
 _HALO_TAG = 5
 _FLOOD_TAG = 100
@@ -200,11 +209,82 @@ def wildcard_flood_program(ctx, flood: int) -> Generator:
     return float(ctx.now), matched
 
 
+def contended_shmem_program(ctx, nelems: int) -> Generator:
+    """All-to-all puts, strided puts and a blocking get, twice.
+
+    Slice sizes vary by (rank, peer), so transfers of different lengths
+    overlap on shared links and queue in FIFO order; the blocking ``get``
+    queues a coroutine transfer among the callback ones.
+    """
+    import numpy as np
+
+    n = ctx.nprocs
+    sym = ctx.salloc("a2a", 2 * nelems * n)
+    for step in range(2):
+        for k in range(1, n):
+            peer = (ctx.rank + k) % n
+            count = 1 + (ctx.rank * 7 + peer * 3 + step) % nelems
+            data = np.full(count, float(ctx.rank * n + peer))
+            yield from ctx.put(sym, peer, data, offset=ctx.rank * nelems)
+            if k % 3 == 1:
+                yield from ctx.iput(
+                    sym, peer, data[: max(count // 4, 1)], 2,
+                    offset=n * nelems + ctx.rank * nelems,
+                )
+        left = (ctx.rank - 1) % n
+        got = yield from ctx.get(sym, left, offset=0, count=nelems)
+        yield from ctx.quiet()
+        yield from ctx.barrier_all()
+        yield from ctx.compute(50.0 + float(got[0] % 7))
+    yield from ctx.barrier_all()
+    return float(sym.copies[ctx.rank].sum())
+
+
+def contended_mpi_program(ctx, max_bytes: int) -> Generator:
+    """Eager all-to-all plus one rendezvous message per rank, twice.
+
+    The rendezvous transfer runs as a coroutine and queues for links
+    among the eager callback transfers.
+    """
+    n = ctx.nprocs
+    me = ctx.rank
+    total = 0.0
+    for step in range(2):
+        reqs = []
+        for k in range(1, n):
+            src = (me - k) % n
+            r = yield from ctx.irecv(src, tag=200 + step)
+            reqs.append(r)
+        right = (me + 1) % n
+        left = (me - 1) % n
+        if n > 1:
+            r = yield from ctx.irecv(left, tag=300 + step)
+            reqs.append(r)
+        for k in range(1, n):
+            dst = (me + k) % n
+            nbytes = 64 + ((me * 131 + dst * 17 + step) * 97) % max_bytes
+            r = yield from ctx.isend(float(me), dst, tag=200 + step, nbytes=nbytes)
+            reqs.append(r)
+        if n > 1:
+            r = yield from ctx.isend(float(me), right, tag=300 + step,
+                                     nbytes=4 * ctx.cfg.mpi_eager_bytes)
+            reqs.append(r)
+        vals = yield from ctx.waitall(reqs)
+        total += sum(v for v in vals if isinstance(v, float))
+        yield from ctx.barrier()
+    return total
+
+
 ENGINE_PROGRAMS = {
     "mpi": (mpi_program, (8,)),
     "shmem": (shmem_program, (32,)),
     "sas": (sas_program, (32,)),
     "hybrid": (hybrid_program, (8,)),
+}
+
+CONTENDED_PROGRAMS = {
+    "shmem": (contended_shmem_program, 512),
+    "mpi": (contended_mpi_program, 8 * 1024),
 }
 
 
@@ -234,7 +314,17 @@ def cases() -> List[str]:
     names += [f"adapt-sas/{p}" for p in ADAPT_SAS_PROCS]
     names += [f"wildcard-flood/{p}" for p in WILDCARD_PROCS]
     names += [f"nbody-{m}/{p}" for m in NBODY_MODELS for p in NBODY_PROCS]
+    names += [f"contended-net/{m}/{p}" for m in CONTENDED_MODELS for p in CONTENDED_PROCS]
     return names
+
+
+def case_machine(name: str) -> Any:
+    """A fresh machine for one case (per-link stats on for ``contended-net``)."""
+    from repro.machine import Machine, MachineConfig
+
+    nprocs = int(name.rsplit("/", 1)[-1].rsplit("-", 1)[-1])
+    derived = {"link_stats": "on"} if name.startswith("contended-net/") else {}
+    return Machine(MachineConfig(nprocs=nprocs, derived=derived))
 
 
 def run_case(name: str, machine: Any = None):
@@ -244,15 +334,18 @@ def run_case(name: str, machine: Any = None):
     """
     from repro.apps.adapt import ADAPT_PROGRAMS, build_script
     from repro.apps.nbody import NBODY_PROGRAMS
-    from repro.machine import Machine, MachineConfig
     from repro.models.registry import run_program
 
+    if machine is None:
+        machine = case_machine(name)
+    if name.startswith("contended-net/"):
+        _, model, p = name.split("/")
+        program, arg = CONTENDED_PROGRAMS[model]
+        return run_program(model, program, int(p), arg, machine=machine, trace=True)
     kind, p = name.split("/")
     if kind == "engine":
         model, p = p.split("-")
     nprocs = int(p)
-    if machine is None:
-        machine = Machine(MachineConfig(nprocs=nprocs))
     if kind == "engine":
         program, args = ENGINE_PROGRAMS[model]
         return run_program(model, program, nprocs, *args, machine=machine, trace=True)
@@ -265,8 +358,21 @@ def run_case(name: str, machine: Any = None):
     return run_program(model, ADAPT_PROGRAMS[model], nprocs, script, machine=machine)
 
 
-def fingerprint(result) -> Dict[str, Any]:
-    """One run reduced to exact comparable fields."""
+def record_case(name: str, machine: Any = None):
+    """Run one case; returns ``(ProgramResult, fingerprint row)``."""
+    if machine is None:
+        machine = case_machine(name)
+    result = run_case(name, machine=machine)
+    return result, fingerprint(result, machine)
+
+
+def fingerprint(result, machine: Any = None) -> Dict[str, Any]:
+    """One run reduced to exact comparable fields.
+
+    With a ``machine`` whose per-link statistics are on, the row also
+    holds the SHA-256 of every link's bytes, acquires, claim waits,
+    queued ns and busy ns.
+    """
 
     def sha(obj: Any) -> str:
         return hashlib.sha256(repr(obj).encode()).hexdigest()
@@ -282,13 +388,20 @@ def fingerprint(result) -> Dict[str, Any]:
         row["events"] = len(result.events)
         blob = "\n".join(repr(ev) for ev in result.events).encode()
         row["events_sha256"] = hashlib.sha256(blob).hexdigest()
+    if machine is not None and machine.network.link_bytes is not None:
+        row["link_stats_sha256"] = sha([
+            (ls.kind, ls.src, ls.dst, ls.bytes, ls.acquires, ls.claim_waits,
+             ls.queued_ns, ls.busy_ns)
+            for ls in machine.network.link_stats()
+        ])
     return row
 
 
 def main() -> int:
     rows = {}
     for name in cases():
-        row = rows[name] = fingerprint(run_case(name))
+        _, row = record_case(name)
+        rows[name] = row
         print(f"recorded {name:<20} elapsed={row['elapsed_ns']} events={row.get('events', '-')}")
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w") as fh:
