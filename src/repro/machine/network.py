@@ -15,13 +15,17 @@ routers / 32 CPUs)::
 
 Contention appears as queueing delay on busy links.
 
-The common case — every link of the route free, no faults — takes a batched
-fast path that claims the whole contention-free hop sequence inline and
-sleeps once, instead of driving each link through the generator-based
-``Resource.acquire``.  An uncontended acquire never yields to the engine, so
-the fast path is bit-identical in simulated time and statistics to the
-per-link loop, which contended and faulted transfers still take (see
-``tests/test_invariants_highp.py``).
+Two implementations share these semantics.  :meth:`Network.transfer` is a
+generator: every link of a free route is claimed inline (an uncontended
+``Resource.acquire`` never yields) and the transfer sleeps once; a busy
+link is waited for through ``Resource.acquire``.  Faulted transfers and
+blocking callers (SHMEM ``get``, MPI rendezvous) use it.
+:meth:`Network.transfer_async` runs the same claim sequence from engine
+timers and calls the caller back on delivery: a busy link queues a
+callback waiter in the same FIFO as blocked coroutines, which
+``Resource.release`` resumes with the same single zero-delay entry.  Both
+are bit-identical in simulated time and statistics, per-link queueing
+included (``tests/golden/timelines.json``).
 """
 
 from __future__ import annotations
@@ -61,8 +65,11 @@ class Network:
             Resource(engine, capacity=1, name=repr(link))
             for link in topology.links
         ]
-        self.batch_fast_transfers = 0  # transfers that took the fast path
-        self.timer_fast_transfers = 0  # transfers completed by an engine timer
+        # transfers whose whole route was free and claimed inline, on either
+        # path (contended timer transfers are not counted)
+        self.batch_fast_transfers = 0
+        # transfers completed by an engine timer, contended ones included
+        self.timer_fast_transfers = 0
         # per-link byte counters, allocated only when link stats are on
         # (derived["link_stats"] = "on") — the default pays nothing beyond
         # one is-None check per transfer
@@ -203,83 +210,91 @@ class Network:
         return not dropped
 
     def transfer_async(
-        self,
-        src_node: int,
-        dst_node: int,
-        nbytes: int,
-        on_delivered,
-        arg,
-        fallback_fn,
-        fallback_args: tuple = (),
+        self, src_node: int, dst_node: int, nbytes: int, on_delivered, arg
     ) -> bool:
-        """Timer fast path: deliver without spawning a transfer coroutine.
+        """Timer path: deliver ``on_delivered(arg)`` without a transfer coroutine.
 
         The transfer is started by a zero-delay timer
         (:meth:`_start_transfer`) that occupies exactly the seq slot an
-        ``engine.spawn`` start entry of the fallback would, so completion
-        ties between concurrent transfers order identically either way.
-        At that slot, a contention-free route is claimed inline and
-        completed by a single arrival timer; a contended route *adopts*
-        ``fallback_fn(*fallback_args)`` — the caller's recovery-capable
-        transfer generator — running its first step immediately, which is
-        what a spawned fallback would have been doing in that slot.
+        ``engine.spawn`` start entry of the caller's transfer generator
+        would, so completion ties between concurrent transfers order
+        identically either way.  At that slot the route's links are
+        claimed in order; a busy link queues a callback waiter in its
+        FIFO, and :meth:`Resource.release` resumes the claim with the one
+        zero-delay entry a blocked coroutine's wake would take.  Once the
+        whole route is held, one arrival timer completes the transfer.
         Returns ``False`` without side effects when the caller must spawn
-        the fallback itself: fault injection, or host profiling (so the
-        ``network`` bucket stays truthful).  Either way the simulated
-        timeline is bit-identical.
+        its transfer generator instead: fault injection, or host profiling
+        (so the ``network`` bucket stays truthful).  Either way the
+        simulated timeline is bit-identical.
         """
-        engine = self.engine
         if self.faults.enabled or PROFILER.enabled:
             return False
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
-        engine.call_after(
-            0.0,
-            self._start_transfer,
-            (src_node, dst_node, nbytes, on_delivered, arg, fallback_fn, fallback_args),
+        self.engine.call_after(
+            0.0, self._start_transfer, (src_node, dst_node, nbytes, on_delivered, arg)
         )
         return True
 
     def _start_transfer(
-        self, src_node, dst_node, nbytes, on_delivered, arg, fallback_fn, fallback_args
+        self, src_node, dst_node, nbytes, on_delivered, arg, wait=None
     ) -> None:
-        """Zero-delay timer leg of :meth:`transfer_async` (spawn-slot parity)."""
+        """Zero-delay timer leg of :meth:`transfer_async` (spawn-slot parity).
+
+        Also the link-wait continuation: a busy link ``k`` queues this
+        method with ``wait = (t0, k, queued_at)``, and once the link is
+        handed over the claim resumes at link ``k + 1`` — the steps,
+        counters and seqs of ``_transfer``'s per-link ``Resource.acquire``
+        loop.
+        """
         engine = self.engine
-        if src_node == dst_node:
+        now = engine.now
+        if wait is None:
             self.stats.network_messages += 1
-            self.batch_fast_transfers += 1
-            self.timer_fast_transfers += 1
-            dur = nbytes / self.config.intra_node_copy_bpns
-            engine.call_after(
-                dur,
-                self._finish_local,
-                (engine.now, src_node, dst_node, nbytes, on_delivered, arg),
-            )
-            return
-        resources, _hops, static_ns, link_idxs = self._route_entry(src_node, dst_node)
-        for r in resources:
-            if r.in_use >= r.capacity or r._waiters:
-                # contended: run the caller's generator path from this very
-                # slot (no start entry, see Engine.adopt) — it re-walks the
-                # acquires exactly as a spawned transfer would
-                engine.adopt(fallback_fn(*fallback_args), name="net-xfer")
+            if src_node == dst_node:
+                self.batch_fast_transfers += 1
+                self.timer_fast_transfers += 1
+                engine.call_after(
+                    nbytes / self.config.intra_node_copy_bpns,
+                    self._finish_local,
+                    (now, src_node, dst_node, nbytes, on_delivered, arg),
+                )
                 return
-        self.stats.network_messages += 1
-        self.stats.network_bytes += nbytes
-        if self.link_bytes is not None:
-            for i in link_idxs:
-                self.link_bytes[i] += nbytes
-        self.batch_fast_transfers += 1
-        self.timer_fast_transfers += 1
-        for r in resources:
+            self.stats.network_bytes += nbytes
+            resources, _hops, static_ns, link_idxs = self._route_entry(src_node, dst_node)
+            if self.link_bytes is not None:
+                for i in link_idxs:
+                    self.link_bytes[i] += nbytes
+            t0 = now
+            first = 0
+        else:
+            # Resource.release just handed over link ``held``
+            resources, _hops, static_ns, _ = self._route_entry(src_node, dst_node)
+            t0, held, queued_at = wait
+            resources[held].total_wait_ns += now - queued_at
+            first = held + 1
+        for k in range(first, len(resources)):
+            r = resources[k]
             r.total_acquires += 1
-            r._account()
-            r.in_use += 1
-        pipe_ns = static_ns + nbytes / self.config.link_bandwidth_bpns
+            if r.in_use < r.capacity and not r._waiters:
+                r._account()
+                r.in_use += 1
+            else:
+                r.waited_acquires += 1
+                r._waiters.append((
+                    self._start_transfer,
+                    (src_node, dst_node, nbytes, on_delivered, arg, (t0, k, now)),
+                ))
+                return
+        if wait is None:
+            # every link was free at the start slot
+            self.batch_fast_transfers += 1
+        self.timer_fast_transfers += 1
         engine.call_after(
-            pipe_ns,
+            static_ns + nbytes / self.config.link_bandwidth_bpns,
             self._finish_remote,
-            (engine.now, resources, src_node, dst_node, nbytes, on_delivered, arg),
+            (t0, resources, src_node, dst_node, nbytes, on_delivered, arg),
         )
 
     def _finish_local(self, t0, src_node, dst_node, nbytes, on_delivered, arg) -> None:

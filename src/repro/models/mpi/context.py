@@ -275,8 +275,6 @@ class MpiContext(BaseContext):
                 msg.nbytes,
                 MpiWorld.deliver,
                 msg,
-                self._eager_transfer,
-                (msg,),
             ):
                 # faults or host profiling active: spawned generator path
                 engine.spawn(

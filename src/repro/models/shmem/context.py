@@ -212,7 +212,7 @@ class ShmemContext(BaseContext):
             return
         done = self.machine.engine.event(name=f"put:{self.rank}->{target_rank}")
         self._outstanding.append(done)
-        # timer fast path: deliver by network callback instead of spawning a
+        # timer path: deliver by network callback instead of spawning a
         # per-put coroutine; transfer_async keeps spawn-slot seq parity, so
         # the simulated timeline is bit-identical (see Network.transfer_async)
         if not self.machine.network.transfer_async(
@@ -221,8 +221,6 @@ class ShmemContext(BaseContext):
             nbytes,
             self._put_delivered,
             (sym, target_rank, snapshot, offset, nbytes, done),
-            self._put_transfer,
-            (sym, target_rank, snapshot, offset, nbytes, done),
         ):
             self.machine.engine.spawn(
                 self._put_transfer(sym, target_rank, snapshot, offset, nbytes, done),
@@ -230,7 +228,7 @@ class ShmemContext(BaseContext):
             )
 
     def _put_delivered(self, arg) -> None:
-        """Delivery callback for the ``transfer_async`` put fast path."""
+        """Delivery callback for the ``transfer_async`` put path."""
         sym, target_rank, snapshot, offset, nbytes, done = arg
         self._store(sym, target_rank, snapshot, offset)
         if self._obs.enabled:
@@ -494,8 +492,6 @@ class ShmemContext(BaseContext):
             nbytes,
             self._iput_delivered,
             (sym, target_rank, snapshot, indices, done),
-            self._iput_transfer,
-            (sym, target_rank, snapshot, indices, nbytes, done),
         ):
             self.machine.engine.spawn(
                 self._iput_transfer(sym, target_rank, snapshot, indices, nbytes, done),
@@ -503,7 +499,7 @@ class ShmemContext(BaseContext):
             )
 
     def _iput_delivered(self, arg) -> None:
-        """Delivery callback for the ``transfer_async`` iput fast path."""
+        """Delivery callback for the ``transfer_async`` iput path."""
         sym, target_rank, snapshot, indices, done = arg
         sym.copies[target_rank].reshape(-1)[indices] = snapshot.reshape(-1)
         if self._obs.enabled:

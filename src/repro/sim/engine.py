@@ -37,8 +37,9 @@ across all programming models at P up to 128.
 
 :meth:`Engine.call_after` is a lightweight timer that invokes a plain
 callback instead of resuming a coroutine.  The machine layers use it to
-complete uncontended network transfers without paying a full ``Process``
-(generator frames, end event, two heap round-trips) per in-flight message.
+run network transfers, contended ones included, without paying a full
+``Process`` (generator frames, end event, two heap round-trips) per
+in-flight message.
 """
 
 from __future__ import annotations
@@ -425,21 +426,6 @@ class Engine:
     def event(self, name: str = "", reusable: bool = False) -> Event:
         """Create a fresh event bound to this engine."""
         return Event(self, name=name, reusable=reusable)
-
-    def adopt(self, gen: Generator, name: str = "") -> Process:
-        """Register a process and run its first step *immediately*.
-
-        Used by timer callbacks that stand in a slot where a spawned
-        process would already have started: unlike :meth:`spawn`, no
-        zero-delay start entry is queued (and hence no ``seq`` is
-        consumed), so the adopted generator's first suspension lands on
-        exactly the seq the spawned process's would.
-        """
-        proc = Process(self, gen, pid=len(self._procs), name=name or f"proc{len(self._procs)}")
-        self._procs.append(proc)
-        self._live += 1
-        self._step(proc, None)
-        return proc
 
     # -- scheduling core ----------------------------------------------------
 

@@ -8,7 +8,7 @@ capacity 1 that a message holds for its transfer time; a mailbox is a
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Tuple
+from typing import Any, Callable, Deque, Generator, List, Tuple, Union
 
 from repro.sim.engine import Engine, Event, SimError, WaitEvent
 
@@ -22,6 +22,12 @@ class Resource:
     hands the unit to the longest-waiting acquirer.  Statistics are kept for
     utilisation accounting (busy time integrates ``in_use`` over virtual
     time).
+
+    The FIFO also holds *callback waiters*: ``(fn, args)`` pairs queued by
+    callers that claim units inline (:class:`repro.machine.network.Network`).
+    :meth:`release` hands one the unit by running ``fn(*args)`` from one
+    zero-delay engine entry, the single ``seq`` a blocked acquirer's wake
+    takes; the callback adds its queued time to ``total_wait_ns`` itself.
     """
 
     def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
@@ -31,7 +37,8 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._waiters: Deque[Event] = deque()
+        # acquire() gates and (fn, args) callback waiters, in arrival order
+        self._waiters: Deque[Union[Event, Tuple[Callable, tuple]]] = deque()
         # statistics
         self.total_acquires = 0
         self.waited_acquires = 0   # acquires that found the resource busy
@@ -65,8 +72,11 @@ class Resource:
         self._account()
         if self._waiters:
             # hand the unit directly to the next waiter: in_use stays flat
-            gate = self._waiters.popleft()
-            gate.fire()
+            waiter = self._waiters.popleft()
+            if type(waiter) is tuple:
+                self.engine._schedule(0.0, None, waiter)
+            else:
+                waiter.fire()
         else:
             self.in_use -= 1
 

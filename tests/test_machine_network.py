@@ -96,3 +96,78 @@ def test_link_utilisations_shape():
     assert len(utils) == len(m.topology.links)
     assert any(u > 0 for u in utils)
     assert all(0 <= u <= 1.0 + 1e-9 for u in utils)
+
+
+def _link(machine, kind, src, dst):
+    (ls,) = [
+        ls for ls in machine.network.link_stats()
+        if (ls.kind, ls.src, ls.dst) == (kind, src, dst)
+    ]
+    return ls
+
+
+def _issue(machine, start, src, dst, nbytes, label, log, blocking=False):
+    """At ``start``, begin a transfer that appends ``(label, now)`` on arrival."""
+    from repro.sim.engine import Delay
+
+    def mover():
+        yield Delay(start)
+        if blocking:
+            yield from machine.network.transfer(src, dst, nbytes)
+            log.append((label, machine.engine.now))
+        else:
+            started = machine.network.transfer_async(
+                src, dst, nbytes,
+                lambda lab: log.append((lab, machine.engine.now)), label,
+            )
+            assert started
+
+    machine.engine.spawn(mover())
+
+
+def test_link_fifo_mixes_coroutine_and_callback_waiters():
+    """A busy link serves a blocking transfer and two timer transfers in arrival order."""
+    m = Machine(MachineConfig(nprocs=16, derived={"link_stats": "on"}))
+    log = []
+    # every transfer takes node 0 -> node 1: hub-out(0) then hub-in(1)
+    _issue(m, 0.0, 0, 1, 4096, "holder", log)
+    _issue(m, 1.0, 0, 1, 1024, "blocking", log, blocking=True)
+    _issue(m, 2.0, 0, 1, 2048, "async-x", log)
+    _issue(m, 3.0, 0, 1, 512, "async-y", log)
+    m.engine.run()
+
+    p = {n: m.network.pipe_ns(0, 1, n) for n in (4096, 1024, 2048, 512)}
+    t_holder = p[4096]
+    t_blocking = t_holder + p[1024]
+    t_x = t_blocking + p[2048]
+    t_y = t_x + p[512]
+    assert log == [
+        ("holder", t_holder), ("blocking", t_blocking),
+        ("async-x", t_x), ("async-y", t_y),
+    ]
+    hub_out = _link(m, "hub-out", 0, 0)
+    assert (hub_out.acquires, hub_out.claim_waits) == (4, 3)
+    # each waiter queued from its arrival until its predecessor finished
+    assert hub_out.queued_ns == (t_holder - 1.0) + (t_blocking - 2.0) + (t_x - 3.0)
+    assert hub_out.busy_ns == t_y
+    # the handoff leaves hub-in(1) free by the time each waiter reaches it
+    hub_in = _link(m, "hub-in", 0, 1)
+    assert (hub_in.acquires, hub_in.claim_waits, hub_in.queued_ns) == (4, 0, 0.0)
+
+
+def test_finished_transfer_releases_its_route_in_reverse():
+    """The last link's waiter is handed over first, so it completes first on a tie."""
+    m = Machine(MachineConfig(nprocs=16, derived={"link_stats": "on"}))
+    log = []
+    _issue(m, 0.0, 0, 1, 1024, "a", log)   # hub-out(0), hub-in(1)
+    _issue(m, 1.0, 0, 3, 1024, "b", log)   # queues on hub-out(0)
+    _issue(m, 2.0, 2, 1, 1024, "c", log)   # queues on hub-in(1)
+    m.engine.run()
+
+    t_a = m.network.pipe_ns(0, 1, 1024)
+    t_bc = t_a + m.network.pipe_ns(0, 3, 1024)
+    assert m.network.pipe_ns(2, 1, 1024) == m.network.pipe_ns(0, 3, 1024)
+    # hub-in(1) is released before hub-out(0): c resumes, and so arrives, first
+    assert log == [("a", t_a), ("c", t_bc), ("b", t_bc)]
+    assert _link(m, "hub-out", 0, 0).queued_ns == t_a - 1.0
+    assert _link(m, "hub-in", 0, 1).queued_ns == t_a - 2.0

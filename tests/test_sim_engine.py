@@ -481,30 +481,6 @@ def test_call_after_interleaves_fifo_with_process_wakes():
     assert order == ["timer", "a", "b"]
 
 
-def test_adopt_runs_first_step_immediately():
-    eng = Engine()
-    steps = []
-
-    def adoptee():
-        steps.append(("start", eng.now))
-        yield Delay(2)
-        steps.append(("end", eng.now))
-        return "adopted"
-
-    def driver():
-        yield Delay(5)
-        proc = eng.adopt(adoptee())
-        # adopt ran the first step synchronously: already inside the generator
-        assert steps == [("start", 5.0)]
-        value = yield WaitEvent(proc.end_event)
-        return value
-
-    d = eng.spawn(driver())
-    eng.run()
-    assert d.result == "adopted"
-    assert steps == [("start", 5.0), ("end", 7.0)]
-
-
 def test_batched_and_scalar_timelines_identical():
     """A process soup reproduces the (now, order) the scalar heap loop recorded."""
 
