@@ -246,7 +246,9 @@ class Network:
         method with ``wait = (t0, k, queued_at)``, and once the link is
         handed over the claim resumes at link ``k + 1`` — the steps,
         counters and seqs of ``_transfer``'s per-link ``Resource.acquire``
-        loop.
+        loop.  One entry point for both keeps all of a timer transfer's
+        host work inside its three timer legs, where a host-time tracer
+        hooking them (``bench/trace.py``) finds it.
         """
         engine = self.engine
         now = engine.now
