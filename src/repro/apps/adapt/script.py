@@ -22,7 +22,7 @@ import numpy as np
 from repro.apps.adapt.common import AdaptConfig
 from repro.mesh.coarsen import coarsen
 from repro.mesh.generator import structured_mesh
-from repro.mesh.mesh2d import TriMesh
+from repro.mesh.mesh2d import TriMesh, edge_keys_of, unpack_edge_keys
 from repro.mesh.refine import (
     close_marks,
     dissolve_green_families,
@@ -92,15 +92,37 @@ class AdaptScript:
         return self.phases[-1].nels
 
 
+def _owners(tids: np.ndarray, owner: Dict[int, int]) -> np.ndarray:
+    """``owner[t]`` of every id in ``tids``, as an int64 array."""
+    return np.fromiter(map(owner.__getitem__, tids.tolist()), np.int64, len(tids))
+
+
+def _elements(mesh) -> Tuple[np.ndarray, np.ndarray]:
+    """Alive element ids (ascending) and their vertex rows, in 2-D or 3-D."""
+    if hasattr(mesh, "edge_table"):
+        table = mesh.edge_table()
+        return table.tids, table.verts
+    tids = mesh.alive_tris()
+    rows = np.asarray([mesh.tri_verts(t) for t in tids], dtype=np.int64)
+    return np.asarray(tids, dtype=np.int64), rows.reshape(len(tids), -1)
+
+
 def _vertex_owner(mesh: TriMesh, owner: Dict[int, int]) -> np.ndarray:
     """owner_vert[v] = min rank among owners of alive elements using v."""
-    out = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    for tid in mesh.alive_tris():
-        p = owner[tid]
-        for v in mesh.tri_verts(tid):
-            if out[v] < 0 or p < out[v]:
-                out[v] = p
+    tids, verts = _elements(mesh)
+    out = np.full(mesh.num_vertices, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(out, verts.ravel(), np.repeat(_owners(tids, owner), verts.shape[1]))
+    out[out == np.iinfo(np.int64).max] = -1
     return out
+
+
+def _elem_verts(mesh: TriMesh, owner: Dict[int, int], nprocs: int) -> List[np.ndarray]:
+    """Per rank, the sorted vertex ids of its owned alive elements."""
+    tids, verts = _elements(mesh)
+    nv = mesh.num_vertices
+    tagged = np.unique(np.repeat(_owners(tids, owner), verts.shape[1]) * nv + verts.ravel())
+    cuts = np.searchsorted(tagged, np.arange(nprocs + 1) * nv)
+    return [tagged[cuts[p] : cuts[p + 1]] - p * nv for p in range(nprocs)]
 
 
 def _solve_plan(
@@ -115,9 +137,7 @@ def _solve_plan(
     """
     xadj, adjncy = vertex_csr(mesh)
     owner_vert = _vertex_owner(mesh, owner)
-    elem_verts: List[set] = [set() for _ in range(nprocs)]
-    for tid in mesh.alive_tris():
-        elem_verts[owner[tid]].update(mesh.tri_verts(tid))
+    elem_verts = _elem_verts(mesh, owner, nprocs)
     rows: List[np.ndarray] = []
     row_xadj: List[np.ndarray] = []
     row_adjncy: List[np.ndarray] = []
@@ -130,18 +150,20 @@ def _solve_plan(
             row_xadj.append(np.zeros(1, dtype=np.int64))
             row_adjncy.append(np.zeros(0, dtype=np.int64))
             forcing.append(np.zeros(0))
-            needed = np.asarray(sorted(elem_verts[p]), dtype=np.int64)
+            needed = elem_verts[p]
             if len(needed) == 0:
                 continue
         else:
-            degs = xadj[mine + 1] - xadj[mine]
+            starts = xadj[mine]
+            degs = xadj[mine + 1] - starts
             rx = np.zeros(len(mine) + 1, dtype=np.int64)
             np.cumsum(degs, out=rx[1:])
-            ra = np.concatenate([adjncy[xadj[v] : xadj[v + 1]] for v in mine])
+            # the rows' CSR slices, gathered in one index pass
+            ra = adjncy[np.arange(rx[-1]) + np.repeat(starts - rx[:-1], degs)]
             row_xadj.append(rx)
             row_adjncy.append(ra)
             forcing.append(forcing_all[mine])
-            needed = np.union1d(ra, np.asarray(sorted(elem_verts[p]), dtype=np.int64))
+            needed = np.union1d(ra, elem_verts[p])
         ghosts = needed[(owner_vert[needed] != p) & (owner_vert[needed] >= 0)]
         ghosts = np.unique(ghosts)
         for q in np.unique(owner_vert[ghosts]):
@@ -152,7 +174,7 @@ def _solve_plan(
 def _owner_of_refined(mesh: TriMesh, tid: int, owner: Dict[int, int]) -> int:
     t = tid
     while t >= 0 and t not in owner:
-        t = mesh.parent[t]
+        t = int(mesh.parent[t])
     return owner.get(t, 0)
 
 
@@ -248,23 +270,24 @@ def build_script(
             marks = set(shock.marks(mesh, k)) | hanging_edge_marks(mesh)
             closed = close_marks(mesh, marks)
             # distributed mark agreement: marked edges on partition boundaries
-            edge_tris = mesh.edges()
-            bmarks: Dict[Pair, List[int]] = {}
-            local_marked = np.zeros(nprocs, dtype=np.int64)
-            for e in closed:
-                ts = edge_tris.get(e)
-                if not ts:
-                    continue
-                owners = {owner_mid[t] for t in ts}
-                for p in owners:
-                    local_marked[p] += 1
-                if len(owners) == 2:
-                    pa, pb = sorted(owners)
-                    bmarks.setdefault((pa, pb), []).append(e[0] * (1 << 20) + e[1])
-            pre_elems = np.zeros(nprocs, dtype=np.int64)
-            for tid_, p_ in owner_mid.items():
-                pre_elems[p_] += 1
-            plan.pre_elems_per_rank = pre_elems
+            table = mesh.edge_table()
+            eids = table.lookup(edge_keys_of(closed))
+            eids = eids[eids >= 0]
+            own_mid = np.full(mesh.num_all_triangles + 1, -1, dtype=np.int64)
+            own_mid[table.tids] = _owners(table.tids, owner_mid)
+            # a boundary edge's missing second triangle (-1) reads the -1 pad
+            first, second = own_mid[table.tris[eids].T]
+            straddle = (second >= 0) & (second != first)
+            local_marked = np.bincount(first, minlength=nprocs) + np.bincount(
+                second[straddle], minlength=nprocs
+            )
+            pa = np.minimum(first, second)[straddle]
+            pb = np.maximum(first, second)[straddle]
+            lo, hi = unpack_edge_keys(table.keys[eids[straddle]])
+            bmarks = _group_by_pair(pa, pb, lo * (1 << 20) + hi, nprocs)
+            plan.pre_elems_per_rank = np.bincount(
+                own_mid[table.tids], minlength=nprocs
+            ).astype(np.int64)
             ref_report = refine_cascade(mesh, marks)
             mesh.validate()
             # interpolation triples for every *activated* vertex: brand-new
@@ -272,15 +295,15 @@ def build_script(
             # coarsening (their stored values are stale everywhere, so they
             # are re-interpolated — deterministically, in every program and
             # in the sequential reference alike)
-            used_now = set()
-            for tid_ in mesh.alive_tris():
-                used_now.update(mesh.tri_verts(tid_))
-            triples = sorted(
-                (mid, e[0], e[1])
-                for e, mid in mesh.edge_midpoint.items()
-                if mid in used_now
-                and (mid >= len(prev_active) or not prev_active[mid])
-            )
+            used_now = mesh.edge_table().used_vertices(mesh.num_vertices)
+            mkeys, mids = mesh.midpoint_table()
+            fresh = np.ones(len(mids), dtype=bool)
+            known = mids < len(prev_active)
+            fresh[known] = ~prev_active[mids[known]]
+            act = used_now[mids] & fresh
+            order = np.argsort(mids[act])
+            lo, hi = unpack_edge_keys(mkeys[act][order])
+            triples = list(zip(mids[act][order].tolist(), lo.tolist(), hi.tolist()))
             owner_inh = inherit_ownership(mesh, owner_mid)
             refined_per_rank = np.zeros(nprocs, dtype=np.int64)
             for parent in ref_report.families:
@@ -295,24 +318,18 @@ def build_script(
             else:
                 new_owner = owner_inh
             imb_after = ImbalancePolicy.imbalance(balancer.loads(new_owner))
-            migration_elems: Dict[Pair, List[int]] = {}
-            for tid in mesh.alive_tris():
-                src, dst = owner_inh[tid], new_owner[tid]
-                if src != dst:
-                    migration_elems.setdefault((src, dst), []).append(tid)
-            for pair, tids in sorted(migration_elems.items()):
-                plan.migration_elems[pair] = np.asarray(sorted(tids), dtype=np.int64)
-                vids = sorted({v for t in tids for v in mesh.tri_verts(t)})
-                plan.migration_verts[pair] = np.asarray(vids, dtype=np.int64)
+            tids = mesh.edge_table().tids
+            src, dst = _owners(tids, owner_inh), _owners(tids, new_owner)
+            moved = src != dst
+            plan.migration_elems = _group_by_pair(src[moved], dst[moved], tids[moved], nprocs)
+            for pair, elems in plan.migration_elems.items():
+                plan.migration_verts[pair] = np.unique(mesh.tris[elems]).astype(np.int64)
             owner = new_owner
             plan.interp_triples = triples
             plan.refined_per_rank = refined_per_rank
             plan.coarsened_families = coarsen_report.families_merged
             plan.mark_rounds = max(ref_report.cascade_rounds, 1)
-            plan.boundary_marks = {
-                pair: np.asarray(sorted(ids), dtype=np.int64)
-                for pair, ids in sorted(bmarks.items())
-            }
+            plan.boundary_marks = bmarks
             plan.local_marked_per_rank = local_marked
             plan.imbalance_before = imb_before
             plan.imbalance_after = imb_after
@@ -329,8 +346,9 @@ def build_script(
         rows, rx, ra, forcing, ghost_sends = _solve_plan(mesh, owner, nprocs, forcing_all)
         plan.nverts = mesh.num_vertices
         plan.nels = mesh.num_triangles
-        for tid in mesh.alive_tris():
-            plan.elems_per_rank[owner[tid]] += 1
+        plan.elems_per_rank = np.bincount(
+            _owners(mesh.edge_table().tids, owner), minlength=nprocs
+        ).astype(np.int64)
         plan.rows = rows
         plan.row_xadj = rx
         plan.row_adjncy = ra
@@ -350,6 +368,21 @@ def build_script(
         reference_checksum=reference,
         imbalance_trace=imbalance_trace,
     )
+
+
+def _group_by_pair(
+    src: np.ndarray, dst: np.ndarray, values: np.ndarray, nprocs: int
+) -> Dict[Pair, np.ndarray]:
+    """``(src, dst) -> sorted values`` for each pair present, pairs ascending."""
+    pair = src * nprocs + dst
+    order = np.lexsort((values, pair))
+    pair, values = pair[order], np.asarray(values, dtype=np.int64)[order]
+    cuts = np.flatnonzero(np.diff(pair)) + 1
+    return {
+        divmod(int(pair[a]), nprocs): values[a:b]
+        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(pair)])
+        if b > a
+    }
 
 
 def _sequential_reference(config: AdaptConfig, phases: List[PhasePlan]) -> float:

@@ -16,8 +16,11 @@ one family can expose midpoints of its neighbours.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
+
+import numpy as np
 
 from repro.mesh.mesh2d import TriMesh
 from repro.sim.profile import profiled
@@ -43,66 +46,61 @@ def coarsen(mesh: TriMesh, candidates: Set[int]) -> CoarseningReport:
     deeper coarsening.  The mesh stays conforming.
     """
     report = CoarseningReport()
+    alive, parent = mesh.alive, mesh.parent
 
     # group alive candidate children by parent; keep only complete families
+    cand = np.fromiter(candidates, np.int64, len(candidates))
+    cand = cand[(cand >= 0) & (cand < mesh.num_all_triangles)]
+    cand = cand[alive[cand]]
     by_parent: Dict[int, Set[int]] = {}
-    for tid in candidates:
-        if 0 <= tid < mesh.num_all_triangles and mesh.alive[tid]:
-            parent = mesh.parent[tid]
-            if parent >= 0 and parent not in mesh.green:
-                by_parent.setdefault(parent, set()).add(tid)
+    for tid, p in zip(cand.tolist(), parent[cand].tolist()):
+        if p >= 0 and p not in mesh.green:
+            by_parent.setdefault(p, set()).add(tid)
 
     eligible: Dict[int, Tuple[int, ...]] = {}
-    for parent, kids in by_parent.items():
-        family = mesh.children.get(parent)
+    for p, kids in by_parent.items():
+        family = mesh.children.get(p)
         if family is None or set(family) != kids:
             continue
-        if any(not mesh.alive[c] for c in family):
-            continue
-        eligible[parent] = family
+        eligible[p] = family
 
     if not eligible:
         return report
 
     # vertex usage by all alive triangles vs by eligible-family children
-    usage: Dict[int, int] = {}
-    for tid in mesh.alive_tris():
-        for v in mesh.tris[tid]:
-            usage[v] = usage.get(v, 0) + 1
-    eligible_usage: Dict[int, int] = {}
-    midpoints: Dict[int, List[int]] = {}
-    for parent, family in eligible.items():
-        parent_verts = set(mesh.tris[parent])
-        mids: Set[int] = set()
-        for child in family:
-            for v in mesh.tris[child]:
-                eligible_usage[v] = eligible_usage.get(v, 0) + 1
-                if v not in parent_verts:
-                    mids.add(v)
-        midpoints[parent] = sorted(mids)
+    nv = mesh.num_vertices
+    tris = mesh.tris
+    usage = np.bincount(tris[alive].ravel(), minlength=nv)
+    kids = {p: tris[list(family)] for p, family in eligible.items()}
+    eligible_usage = np.bincount(
+        np.concatenate([k.ravel() for k in kids.values()]), minlength=nv
+    )
+    midpoints: Dict[int, np.ndarray] = {
+        p: np.setdiff1d(k, tris[p]) for p, k in kids.items()
+    }
 
     # fixpoint filter: a family is blocked if any midpoint has usage from
     # outside the current eligible batch
     changed = True
     while changed:
         changed = False
-        for parent in sorted(eligible):
-            if any(
-                usage.get(m, 0) > eligible_usage.get(m, 0) for m in midpoints[parent]
-            ):
-                for child in eligible[parent]:
-                    for v in mesh.tris[child]:
-                        eligible_usage[v] -= 1
-                del eligible[parent]
+        for p in sorted(eligible):
+            m = midpoints[p]
+            if (usage[m] > eligible_usage[m]).any():
+                np.subtract.at(eligible_usage, kids[p].ravel(), 1)
+                del eligible[p]
                 changed = True
 
-    for parent in sorted(eligible):
-        family = eligible[parent]
-        for child in family:
-            mesh.kill(child)
-        mesh.revive(parent)
-        del mesh.children[parent]
-        report.families[parent] = family
+    if not eligible:
+        return report
+    merged = sorted(eligible)
+    kids_merged = itertools.chain.from_iterable(eligible[p] for p in merged)
+    mesh._set_alive(np.fromiter(kids_merged, np.int64), False)
+    mesh._set_alive(np.asarray(merged, dtype=np.int64), True)
+    for p in merged:
+        family = eligible[p]
+        del mesh.children[p]
+        report.families[p] = family
         report.families_merged += 1
         report.triangles_removed += len(family)
         report.triangles_revived += 1

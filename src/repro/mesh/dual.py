@@ -3,11 +3,30 @@ partition-boundary queries used by the halo-exchange layers."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.mesh.mesh2d import EdgeKey, TriMesh
 
-__all__ = ["dual_graph", "partition_boundary_edges", "shared_vertices"]
+__all__ = ["dual_graph", "dual_csr", "partition_boundary_edges"]
+
+
+def dual_csr(mesh: TriMesh) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Element adjacency of a 2-D mesh in CSR form: ``(tids, xadj, adjncy)``.
+
+    Node ``i`` is alive triangle ``tids[i]`` (ascending); its neighbours,
+    the triangles across its interior edges, are node ids in ascending
+    order.
+    """
+    table = mesh.edge_table()
+    a, b = table.pos[table.count == 2].T
+    src = np.concatenate([a, b])
+    dst = np.concatenate([b, a])
+    order = np.lexsort((dst, src))
+    xadj = np.zeros(len(table.tids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=len(table.tids)), out=xadj[1:])
+    return table.tids, xadj, dst[order]
 
 
 def dual_graph(mesh) -> Tuple[List[int], Dict[int, List[int]]]:
@@ -18,10 +37,15 @@ def dual_graph(mesh) -> Tuple[List[int], Dict[int, List[int]]]:
     :class:`~repro.mesh.mesh2d.TriMesh` and, by duck-typing on
     ``tet_faces``, :class:`~repro.mesh.mesh3d.TetMesh`.
     """
+    if not hasattr(mesh, "tet_faces"):
+        tids, xadj, adjncy = dual_csr(mesh)
+        nbrs = tids[adjncy].tolist()
+        bounds = xadj.tolist()
+        ids = tids.tolist()
+        return ids, {t: nbrs[bounds[i] : bounds[i + 1]] for i, t in enumerate(ids)}
     tids = mesh.alive_tris()
     adj: Dict[int, List[int]] = {t: [] for t in tids}
-    shared = mesh.faces() if hasattr(mesh, "tet_faces") else mesh.edges()
-    for _key, ts in shared.items():
+    for _key, ts in mesh.faces().items():
         if len(ts) == 2:
             a, b = ts
             adj[a].append(b)
@@ -51,18 +75,3 @@ def partition_boundary_edges(
     for key in out:
         out[key].sort()
     return out
-
-
-def shared_vertices(mesh: TriMesh, owner: Dict[int, int], nparts: int) -> List[Set[int]]:
-    """Per-partition set of vertices shared with at least one other part."""
-    vert_parts: Dict[int, Set[int]] = {}
-    for tid in mesh.alive_tris():
-        p = owner[tid]
-        for v in mesh.tri_verts(tid):
-            vert_parts.setdefault(v, set()).add(p)
-    shared: List[Set[int]] = [set() for _ in range(nparts)]
-    for v, parts in vert_parts.items():
-        if len(parts) > 1:
-            for p in parts:
-                shared[p].add(v)
-    return shared

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Set
 
 import numpy as np
 
-from repro.mesh.mesh2d import EdgeKey, TriMesh
+from repro.mesh.mesh2d import EdgeKey, TriMesh, edge_set, unpack_edge_keys
 
 __all__ = ["gradient_indicator", "mark_by_threshold", "distance_band_marks"]
 
@@ -28,12 +28,10 @@ def gradient_indicator(mesh: TriMesh, vertex_values: np.ndarray) -> Dict[EdgeKey
             f"need a value per vertex ({mesh.num_vertices}), got {values.shape[0]}"
         )
     verts = mesh.verts_array()
-    out: Dict[EdgeKey, float] = {}
-    for e in mesh.edges():
-        a, b = e
-        length = float(np.hypot(*(verts[a] - verts[b])))
-        out[e] = abs(float(values[a] - values[b])) * length
-    return out
+    lo, hi = unpack_edge_keys(mesh.edge_table().keys)
+    d = verts[lo] - verts[hi]
+    err = np.abs(values[lo] - values[hi]) * np.hypot(d[:, 0], d[:, 1])
+    return dict(zip(zip(lo.tolist(), hi.tolist()), err.tolist()))
 
 
 def mark_by_threshold(errors: Dict[EdgeKey, float], threshold: float) -> Set[EdgeKey]:
@@ -43,26 +41,29 @@ def mark_by_threshold(errors: Dict[EdgeKey, float], threshold: float) -> Set[Edg
 
 def distance_band_marks(
     mesh: TriMesh,
-    distance_fn: Callable[[float, float], float],
+    distance_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     band: float,
     max_level: int = 10,
 ) -> Set[EdgeKey]:
     """Mark alive edges whose midpoint is within ``band`` of a front.
 
     ``distance_fn(x, y)`` returns the signed/unsigned distance to the
-    feature.  Edges of triangles already at ``max_level`` are skipped so
-    refinement depth stays bounded.
+    feature; it is called once, elementwise on arrays of edge-midpoint
+    coordinates.  Edges of triangles already at ``max_level`` are skipped
+    so refinement depth stays bounded.
     """
     if band <= 0:
         raise ValueError(f"band must be positive, got {band}")
+    table = mesh.edge_table()
+    level = mesh.level
+    first, second = table.tris[:, 0], table.tris[:, 1]
+    open_ = (level[first] < max_level) | (
+        (second >= 0) & (level[np.maximum(second, 0)] < max_level)
+    )
+    keys = table.keys[open_]
+    lo, hi = unpack_edge_keys(keys)
     verts = mesh.verts_array()
-    marked: Set[EdgeKey] = set()
-    for e, tids in mesh.edges().items():
-        if all(mesh.level[t] >= max_level for t in tids):
-            continue
-        a, b = e
-        mx = (verts[a][0] + verts[b][0]) / 2.0
-        my = (verts[a][1] + verts[b][1]) / 2.0
-        if abs(distance_fn(mx, my)) <= band:
-            marked.add(e)
-    return marked
+    mx = (verts[lo, 0] + verts[hi, 0]) / 2.0
+    my = (verts[lo, 1] + verts[hi, 1]) / 2.0
+    near = np.abs(np.asarray(distance_fn(mx, my), dtype=np.float64)) <= band
+    return edge_set(keys[near])

@@ -16,22 +16,15 @@ def save_mesh(mesh: TriMesh, path: str) -> None:
     survive a round trip (reloaded meshes are fresh level-0 meshes).
     Unused vertices are compacted away.
     """
-    alive = mesh.alive_tris()
-    used = sorted({v for t in alive for v in mesh.tri_verts(t)})
-    remap = {v: i for i, v in enumerate(used)}
+    used, tris = np.unique(mesh.edge_table().verts, return_inverse=True)
     verts = mesh.verts_array()[used]
-    tris = np.asarray(
-        [[remap[v] for v in mesh.tri_verts(t)] for t in alive], dtype=np.int64
-    )
-    np.savez_compressed(path, verts=verts, tris=tris)
+    np.savez_compressed(path, verts=verts, tris=tris.reshape(-1, 3).astype(np.int64))
 
 
 def load_mesh(path: str) -> TriMesh:
     """Read a mesh previously written by :func:`save_mesh`."""
     with np.load(path) as data:
-        verts = data["verts"]
-        tris = [tuple(int(v) for v in row) for row in data["tris"]]
-    return TriMesh(verts, tris)
+        return TriMesh(data["verts"], data["tris"])
 
 
 def save_tet_mesh(mesh, path: str) -> None:

@@ -1,10 +1,18 @@
-"""The triangular mesh data structure (edge-based, hierarchy-aware).
+"""The triangular mesh data structure (array-backed, hierarchy-aware).
 
 Triangles are never deleted: refinement *kills* a parent and appends its
 children, recording the family so coarsening can revive the parent later.
 Midpoint vertices are memoised per undirected edge, which is what keeps
 refinement conforming — two triangles sharing a refined edge automatically
 share the midpoint vertex.
+
+Storage is a set of growable arrays: an ``(n, 3)`` int32 triangle array
+with ``alive``, ``parent`` and ``level`` beside it, and an ``(nv, 2)``
+coordinate array.  An undirected edge ``(a, b)``, ``a < b``, is the int64
+key ``a << 32 | b`` wherever edges are handled in bulk (the tuple
+:data:`EdgeKey` stays the public currency of mark sets).  The alive
+mesh's edges live in an :class:`EdgeTable`, built by one ``np.unique``
+pass and cached until the next mutation.
 """
 
 from __future__ import annotations
@@ -13,14 +21,117 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-__all__ = ["TriMesh", "edge_key"]
+__all__ = [
+    "TriMesh",
+    "EdgeTable",
+    "edge_key",
+    "pack_edge_keys",
+    "unpack_edge_keys",
+    "edge_keys_of",
+    "edge_set",
+]
 
 EdgeKey = Tuple[int, int]
+
+_LOW = (1 << 32) - 1
 
 
 def edge_key(a: int, b: int) -> EdgeKey:
     """Canonical undirected edge key."""
     return (a, b) if a < b else (b, a)
+
+
+def pack_edge_keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """int64 keys ``lo << 32 | hi`` of edges with ``lo < hi`` elementwise."""
+    return (np.asarray(lo, dtype=np.int64) << 32) | np.asarray(hi, dtype=np.int64)
+
+
+def edge_keys_of(edges: Iterable[EdgeKey]) -> np.ndarray:
+    """int64 keys of a collection of canonical ``(a, b)`` edges."""
+    if not hasattr(edges, "__len__"):
+        edges = list(edges)
+    return np.fromiter(((a << 32) | b for a, b in edges), np.int64, len(edges))
+
+
+def unpack_edge_keys(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` vertex arrays of int64 edge keys."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return keys >> 32, keys & _LOW
+
+
+def edge_set(keys: np.ndarray) -> Set[EdgeKey]:
+    """The ``(a, b)`` tuples of int64 edge keys."""
+    lo, hi = unpack_edge_keys(keys)
+    return set(zip(lo.tolist(), hi.tolist()))
+
+
+class EdgeTable:
+    """The undirected edges of the alive mesh, built in one sorted pass.
+
+    ``tids`` are the alive triangle ids (ascending) and ``verts`` their
+    vertex rows; an alive triangle's *position* indexes both.  Edge ``i``
+    has key ``keys[i]`` (ascending), borders ``count[i]`` alive triangles,
+    the first two at positions ``pos[i]`` (``-1`` pads a boundary edge;
+    the lower triangle id comes first).  ``slots[j]`` holds the edge ids
+    of position ``j``'s edges ``(v0, v1)``, ``(v1, v2)``, ``(v2, v0)``.
+    """
+
+    def __init__(self, tids: np.ndarray, verts: np.ndarray):
+        self.tids = tids
+        self.verts = verts
+        m = len(tids)
+        lo = np.minimum(verts, verts[:, [1, 2, 0]])
+        hi = np.maximum(verts, verts[:, [1, 2, 0]])
+        flat = pack_edge_keys(lo, hi).ravel()
+        # a stable sort keeps each edge's triangles in ascending-id order
+        order = np.argsort(flat, kind="stable")
+        ordered = flat[order]
+        new = np.ones(len(flat), dtype=bool)
+        new[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(new)
+        self.keys = ordered[starts]
+        self.count = np.diff(np.append(starts, len(flat)))
+        self.slots = np.empty(len(flat), dtype=np.int64)
+        self.slots[order] = np.cumsum(new) - 1
+        self.slots = self.slots.reshape(m, 3)
+        self._order = order
+        self._starts = starts
+        pos = np.full((len(starts), 2), -1, dtype=np.int64)
+        pos[:, 0] = order[starts] // 3
+        two = self.count > 1
+        pos[two, 1] = order[starts[two] + 1] // 3
+        self.pos = pos
+        self.tris = np.where(pos >= 0, tids[np.maximum(pos, 0)], -1)
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Edge id of each key, ``-1`` where the key is no alive edge."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if not len(self.keys):
+            return np.full(len(keys), -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[at] == keys, at, -1)
+
+    def mask(self, edges: Iterable[EdgeKey]) -> np.ndarray:
+        """Boolean per edge id: is the edge in ``edges``?"""
+        out = np.zeros(len(self.keys), dtype=bool)
+        ids = self.lookup(edge_keys_of(edges))
+        out[ids[ids >= 0]] = True
+        return out
+
+    def edge_tids(self, i: int) -> List[int]:
+        """Every alive triangle on edge ``i``, ascending."""
+        s = self._starts[i]
+        return self.tids[self._order[s : s + self.count[i]] // 3].tolist()
+
+    def appearance_order(self) -> np.ndarray:
+        """Edge ids in order of first use by the alive triangles' slots."""
+        return np.argsort(self._order[self._starts], kind="stable")
+
+    def used_vertices(self, nv: int) -> np.ndarray:
+        """Boolean per vertex id: is it a corner of an alive triangle?"""
+        used = np.zeros(nv, dtype=bool)
+        used[self.verts.ravel()] = True
+        return used
 
 
 class TriMesh:
@@ -30,124 +141,220 @@ class TriMesh:
         verts = np.asarray(verts, dtype=np.float64)
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise ValueError(f"verts must be (nv, 2), got {verts.shape}")
-        self._verts: List[Tuple[float, float]] = [tuple(v) for v in verts]
-        self.tris: List[Tuple[int, int, int]] = []
-        self.alive: List[bool] = []
-        self.parent: List[int] = []
+        rows = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+        _check_initial(rows, len(verts))
+        self._xy = verts.copy()
+        self._nv = len(verts)
+        n = len(rows)
+        self._tri = rows.astype(np.int32)
+        self._alive = np.ones(n, dtype=bool)
+        self._parent = np.full(n, -1, dtype=np.int32)
+        self._level = np.zeros(n, dtype=np.int32)
+        self._nt = n
+        self._nalive = n
         self.children: Dict[int, Tuple[int, ...]] = {}
-        self.level: List[int] = []
-        self.edge_midpoint: Dict[EdgeKey, int] = {}
         #: parents refined with the 1:2 "green" pattern (dissolved each phase)
         self.green: Set[int] = set()
-        for t in tris:
-            self.add_triangle(*t)
-        self._check_initial()
+        #: edge key (``a << 32 | b``) -> midpoint vertex id
+        self._mid: Dict[int, int] = {}
+        self._mid_sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._table: Optional[EdgeTable] = None
 
     # -- construction -----------------------------------------------------------
 
-    def _check_initial(self) -> None:
-        nv = len(self._verts)
-        for t, tri in enumerate(self.tris):
-            if len(set(tri)) != 3:
-                raise ValueError(f"degenerate triangle {t}: {tri}")
-            if any(not 0 <= v < nv for v in tri):
-                raise ValueError(f"triangle {t} references missing vertex: {tri}")
+    def _touch(self) -> None:
+        """Drop the cached edge table (every mutation calls this)."""
+        self._table = None
 
     def add_vertex(self, x: float, y: float) -> int:
-        self._verts.append((float(x), float(y)))
-        return len(self._verts) - 1
+        return int(self._append_verts(np.asarray([[x, y]], dtype=np.float64))[0])
+
+    def _append_verts(self, xy: np.ndarray) -> np.ndarray:
+        """Append coordinate rows; returns their new vertex ids."""
+        n = len(xy)
+        if self._nv + n > len(self._xy):
+            grown = np.empty((max(2 * len(self._xy), self._nv + n, 16), 2))
+            grown[: self._nv] = self._xy[: self._nv]
+            self._xy = grown
+        self._xy[self._nv : self._nv + n] = xy
+        self._nv += n
+        self._touch()
+        return np.arange(self._nv - n, self._nv)
 
     def add_triangle(self, v0: int, v1: int, v2: int, parent: int = -1) -> int:
-        tid = len(self.tris)
-        self.tris.append((v0, v1, v2))
-        self.alive.append(True)
-        self.parent.append(parent)
-        self.level.append(0 if parent < 0 else self.level[parent] + 1)
-        return tid
+        rows = np.asarray([[v0, v1, v2]], dtype=np.int64)
+        return int(self._append_tris(rows, np.asarray([parent], dtype=np.int64))[0])
+
+    def _append_tris(self, rows: np.ndarray, parents: np.ndarray) -> np.ndarray:
+        """Append alive triangles with their parents; returns their ids."""
+        n = len(rows)
+        nt = self._nt
+        if nt + n > len(self._tri):
+            cap = max(2 * len(self._tri), nt + n, 16)
+            for name in ("_tri", "_alive", "_parent", "_level"):
+                old = getattr(self, name)
+                grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                grown[:nt] = old[:nt]
+                setattr(self, name, grown)
+        self._tri[nt : nt + n] = rows
+        self._alive[nt : nt + n] = True
+        self._parent[nt : nt + n] = parents
+        self._level[nt : nt + n] = np.where(
+            parents < 0, 0, self._level[np.maximum(parents, 0)] + 1
+        )
+        self._nt += n
+        self._nalive += n
+        self._touch()
+        return np.arange(nt, nt + n)
 
     # -- basic queries ------------------------------------------------------------
 
     @property
     def num_vertices(self) -> int:
-        return len(self._verts)
+        return self._nv
 
     @property
     def num_triangles(self) -> int:
         """Count of *alive* triangles."""
-        return sum(self.alive)
+        return self._nalive
 
     @property
     def num_all_triangles(self) -> int:
-        return len(self.tris)
+        return self._nt
+
+    @property
+    def tris(self) -> np.ndarray:
+        """``(n, 3)`` vertex ids of every triangle ever made (read-only)."""
+        return _frozen(self._tri[: self._nt])
+
+    @property
+    def alive(self) -> np.ndarray:
+        return _frozen(self._alive[: self._nt])
+
+    @property
+    def parent(self) -> np.ndarray:
+        return _frozen(self._parent[: self._nt])
+
+    @property
+    def level(self) -> np.ndarray:
+        return _frozen(self._level[: self._nt])
 
     def vert(self, vid: int) -> Tuple[float, float]:
-        return self._verts[vid]
+        x, y = self._xy[vid].tolist()
+        return (x, y)
 
     def verts_array(self) -> np.ndarray:
-        return np.asarray(self._verts, dtype=np.float64)
+        """``(nv, 2)`` vertex coordinates (read-only)."""
+        return _frozen(self._xy[: self._nv])
 
     def alive_tris(self) -> List[int]:
-        return [t for t, a in enumerate(self.alive) if a]
+        return np.flatnonzero(self._alive[: self._nt]).tolist()
 
     def tri_verts(self, tid: int) -> Tuple[int, int, int]:
-        return self.tris[tid]
-
-    def tri_coords(self, tid: int) -> np.ndarray:
-        return np.asarray([self._verts[v] for v in self.tris[tid]])
+        a, b, c = self._tri[tid].tolist()
+        return (a, b, c)
 
     def tri_edges(self, tid: int) -> Tuple[EdgeKey, EdgeKey, EdgeKey]:
-        a, b, c = self.tris[tid]
+        a, b, c = self._tri[tid].tolist()
         return (edge_key(a, b), edge_key(b, c), edge_key(c, a))
 
+    def edge_table(self) -> EdgeTable:
+        """The alive mesh's :class:`EdgeTable`, cached until a mutation."""
+        if self._table is None:
+            tids = np.flatnonzero(self._alive[: self._nt])
+            self._table = EdgeTable(tids, self._tri[tids].astype(np.int64))
+        return self._table
+
     def edges(self) -> Dict[EdgeKey, List[int]]:
-        """Undirected edge -> alive triangles using it (1 boundary, 2 interior)."""
-        table: Dict[EdgeKey, List[int]] = {}
-        for tid in self.alive_tris():
-            for e in self.tri_edges(tid):
-                table.setdefault(e, []).append(tid)
-        return table
+        """Undirected edge -> alive triangles using it (1 boundary, 2 interior).
+
+        Edges come in order of first use by the alive triangles (ascending
+        id, edge slots in order), each with its triangles ascending.
+        """
+        table = self.edge_table()
+        order = table.appearance_order()
+        lo, hi = (a.tolist() for a in unpack_edge_keys(table.keys[order]))
+        if len(order) and table.count.max() > 2:
+            return {(a, b): table.edge_tids(i) for a, b, i in zip(lo, hi, order.tolist())}
+        first, second = table.tris[order].T.tolist()
+        return {
+            (a, b): [s, t] if t >= 0 else [s]
+            for a, b, s, t in zip(lo, hi, first, second)
+        }
 
     def boundary_edges(self) -> Set[EdgeKey]:
-        return {e for e, ts in self.edges().items() if len(ts) == 1}
-
-    def vertex_tri_incidence(self) -> Dict[int, List[int]]:
-        inc: Dict[int, List[int]] = {}
-        for tid in self.alive_tris():
-            for v in self.tris[tid]:
-                inc.setdefault(v, []).append(tid)
-        return inc
-
-    def vertex_adjacency(self) -> Dict[int, Set[int]]:
-        """vertex -> neighbouring vertices along alive edges."""
-        adj: Dict[int, Set[int]] = {}
-        for (a, b) in self.edges():
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        return adj
+        table = self.edge_table()
+        return edge_set(table.keys[table.count == 1])
 
     # -- refinement support ----------------------------------------------------------
 
     def midpoint(self, e: EdgeKey) -> int:
         """Get-or-create the midpoint vertex of edge ``e`` (memoised)."""
-        vid = self.edge_midpoint.get(e)
-        if vid is None:
-            (x0, y0), (x1, y1) = self._verts[e[0]], self._verts[e[1]]
-            vid = self.add_vertex((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-            self.edge_midpoint[e] = vid
-        return vid
+        return int(self._midpoints_for(edge_keys_of([e]))[0])
 
     def has_midpoint(self, e: EdgeKey) -> bool:
-        return e in self.edge_midpoint
+        return ((e[0] << 32) | e[1]) in self._mid
+
+    def midpoint_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every memoised midpoint: ``(edge keys ascending, vertex ids)``."""
+        if self._mid_sorted is None:
+            keys = np.fromiter(self._mid.keys(), np.int64, len(self._mid))
+            vids = np.fromiter(self._mid.values(), np.int64, len(self._mid))
+            order = np.argsort(keys)
+            self._mid_sorted = (keys[order], vids[order])
+        return self._mid_sorted
+
+    def midpoints_of(self, keys: np.ndarray) -> np.ndarray:
+        """Memoised midpoint of each edge key, ``-1`` where there is none."""
+        mkeys, mvids = self.midpoint_table()
+        if not len(mkeys):
+            return np.full(len(keys), -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(mkeys, keys), len(mkeys) - 1)
+        return np.where(mkeys[at] == keys, mvids[at], -1)
+
+    def _midpoints_for(self, keys: np.ndarray) -> np.ndarray:
+        """Get-or-create the midpoints of ``keys``, creating in key order.
+
+        A missing midpoint gets the next vertex id the first time its key
+        appears in ``keys`` — the order a one-edge-at-a-time loop would
+        create them in.
+        """
+        mid = self._mid
+        out = np.fromiter((mid.get(k, -1) for k in keys.tolist()), np.int64, len(keys))
+        missing = out < 0
+        if missing.any():
+            uniq, first, inv = np.unique(keys[missing], return_index=True, return_inverse=True)
+            rank = np.empty(len(uniq), dtype=np.int64)
+            rank[np.argsort(first)] = np.arange(len(uniq))
+            created = uniq[np.argsort(first)]
+            lo, hi = unpack_edge_keys(created)
+            vids = self._append_verts((self._xy[lo] + self._xy[hi]) / 2.0)
+            mid.update(zip(created.tolist(), vids.tolist()))
+            self._mid_sorted = None
+            out[missing] = vids[0] + rank[inv]
+        return out
 
     def kill(self, tid: int) -> None:
-        if not self.alive[tid]:
+        if not self._alive[tid]:
             raise ValueError(f"triangle {tid} already dead")
-        self.alive[tid] = False
+        self._alive[tid] = False
+        self._nalive -= 1
+        self._touch()
 
     def revive(self, tid: int) -> None:
-        if self.alive[tid]:
+        if self._alive[tid]:
             raise ValueError(f"triangle {tid} already alive")
-        self.alive[tid] = True
+        self._alive[tid] = True
+        self._nalive += 1
+        self._touch()
+
+    def _set_alive(self, tids: np.ndarray, alive: bool) -> None:
+        """Bulk :meth:`kill` / :meth:`revive` (each must change state)."""
+        if np.any(self._alive[tids] == alive):
+            raise ValueError(f"triangles already {'alive' if alive else 'dead'}")
+        self._alive[tids] = alive
+        self._nalive += len(tids) if alive else -len(tids)
+        self._touch()
 
     # -- integrity -----------------------------------------------------------------------
 
@@ -159,27 +366,39 @@ class TriMesh:
         midpoint of one of its own (unrefined) edges — that would mean a
         hanging node.
         """
-        table = self.edges()
-        for e, ts in table.items():
-            if len(ts) > 2:
-                raise AssertionError(f"edge {e} shared by {len(ts)} triangles: {ts}")
-        verts = self.verts_array()
-        for tid in self.alive_tris():
-            a, b, c = self.tris[tid]
-            area = _signed_area(verts[a], verts[b], verts[c])
-            if abs(area) < 1e-14:
-                raise AssertionError(f"triangle {tid} degenerate (area {area})")
+        table = self.edge_table()
+        crowded = np.flatnonzero(table.count > 2)
+        if len(crowded):
+            i = int(crowded[0])
+            raise AssertionError(
+                f"edge {edge_set(table.keys[i : i + 1]).pop()} shared by "
+                f"{table.count[i]} triangles: {table.edge_tids(i)}"
+            )
+        p0, p1, p2 = (self._xy[table.verts[:, k]] for k in range(3))
+        area = 0.5 * (
+            (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+            - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])
+        )
+        flat = np.flatnonzero(np.abs(area) < 1e-14)
+        if len(flat):
+            j = int(flat[0])
+            raise AssertionError(f"triangle {table.tids[j]} degenerate (area {area[j]})")
         # hanging-node check: a midpoint vertex of an alive edge must not be
         # used by any alive triangle unless the edge's sides were refined
-        used: Set[int] = set()
-        for tid in self.alive_tris():
-            used.update(self.tris[tid])
-        for e, ts in table.items():
-            mid = self.edge_midpoint.get(e)
-            if mid is not None and mid in used and ts:
-                raise AssertionError(
-                    f"hanging node: midpoint {mid} of alive edge {e} is in use"
-                )
+        hanging = self.hanging_edges()
+        if len(hanging):
+            k = hanging[:1]
+            raise AssertionError(
+                f"hanging node: midpoint {self.midpoints_of(k)[0]} of alive edge "
+                f"{edge_set(k).pop()} is in use"
+            )
+
+    def hanging_edges(self) -> np.ndarray:
+        """Keys of alive edges whose memoised midpoint an alive triangle uses."""
+        table = self.edge_table()
+        mids = self.midpoints_of(table.keys)
+        used = table.used_vertices(self._nv)
+        return table.keys[(mids >= 0) & used[np.maximum(mids, 0)]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -188,5 +407,17 @@ class TriMesh:
         )
 
 
-def _signed_area(p0, p1, p2) -> float:
-    return 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1]))
+def _frozen(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
+def _check_initial(rows: np.ndarray, nv: int) -> None:
+    a, b, c = rows.T
+    degenerate = (a == b) | (b == c) | (a == c)
+    missing = ((rows < 0) | (rows >= nv)).any(axis=1)
+    bad = np.flatnonzero(degenerate | missing)
+    if len(bad):
+        t = int(bad[0])
+        what = "degenerate triangle" if degenerate[t] else "triangle references missing vertex"
+        raise ValueError(f"{what} {t}: {tuple(rows[t].tolist())}")

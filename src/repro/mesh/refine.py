@@ -16,10 +16,13 @@ agree on shared midpoints and no hanging nodes appear.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-from repro.mesh.mesh2d import EdgeKey, TriMesh, edge_key
+import numpy as np
+
+from repro.mesh.mesh2d import EdgeKey, TriMesh, edge_set
 from repro.sim.profile import profiled
 
 __all__ = [
@@ -59,25 +62,35 @@ def close_marks(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") ->
     leaves 2-marked triangles alone (they subdivide 1:3), producing fewer
     elements per phase at some quality cost — the Biswas-Strawn pattern
     set.  Terminates because marks only grow and are bounded by the edge
-    count.
+    count.  Promotion is monotone, so the closure does not depend on the
+    order triangles are visited in: each pass promotes every triangle
+    with 2+ marked edges at once.
     """
     if mode not in ("red-green", "mixed"):
         raise ValueError(f"unknown closure mode {mode!r}")
     marked = set(marked)
     if mode == "mixed":
         return marked
-    changed = True
-    while changed:
-        changed = False
-        for tid in mesh.alive_tris():
-            edges = mesh.tri_edges(tid)
-            count = sum(1 for e in edges if e in marked)
-            if count == 2:
-                for e in edges:
-                    if e not in marked:
-                        marked.add(e)
-                        changed = True
+    table = mesh.edge_table()
+    given = table.mask(marked)
+    closed = given.copy()
+    while True:
+        promote = table.slots[closed[table.slots].sum(axis=1) >= 2]
+        if closed[promote].all():
+            break
+        closed[promote] = True
+    marked |= edge_set(table.keys[closed & ~given])
     return marked
+
+
+# child triangles of each pattern, as indices into the row
+# (ra, rb, rc, m0, m1, m2) of a triangle's rotated corners and the
+# midpoints it requested, in request order; -1 pads unused children
+_CHILDREN = np.full((4, 4, 3), -1, dtype=np.int64)
+_CHILDREN[1, :2] = [(0, 3, 2), (3, 1, 2)]                        # 1:2
+_CHILDREN[2, :3] = [(0, 3, 4), (3, 1, 4), (0, 4, 2)]             # 1:3
+_CHILDREN[3] = [(0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5)]      # 1:4
+_NUM_CHILDREN = np.array([0, 2, 3, 4])
 
 
 @profiled("mesh")
@@ -89,67 +102,57 @@ def refine(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") -> Refi
     2-mark triangle raises.  Under ``mode="mixed"`` a 2-mark triangle
     subdivides 1:3 (an anisotropic "green" pattern, dissolved next phase
     like 1:2).
+
+    Triangles refine in ascending id order.  Each rotates its corners so
+    the pattern starts at a fixed slot (1:2 at the marked edge, 1:3 just
+    after the unmarked one) and requests its midpoints from there on; a
+    new midpoint vertex gets the next id at its first request, and the
+    children are appended triangle by triangle.
     """
     report = RefinementReport()
+    table = mesh.edge_table()
+    flags = table.mask(marked)[table.slots]
+    count = flags.sum(axis=1)
+    if mode != "mixed" and (count == 2).any():
+        tid = table.tids[np.argmax(count == 2)]
+        raise ValueError(f"triangle {tid} has exactly 2 marked edges; run close_marks first")
+    sel = np.flatnonzero(count)
+    if not len(sel):
+        return report
     nv_before = mesh.num_vertices
-    for tid in list(mesh.alive_tris()):
-        a, b, c = mesh.tri_verts(tid)
-        edges = [edge_key(a, b), edge_key(b, c), edge_key(c, a)]
-        flags = [e in marked for e in edges]
-        count = sum(flags)
-        if count == 0:
-            continue
-        if count == 2:
-            if mode != "mixed":
-                raise ValueError(
-                    f"triangle {tid} has exactly 2 marked edges; run close_marks first"
-                )
-            # 1:3 split: rotate so the UNmarked edge becomes (rc, ra); the
-            # marked edges (ra,rb) and (rb,rc) then share vertex rb
-            which = flags.index(False)
-            order = [(b, c, a), (c, a, b), (a, b, c)][which]
-            ra, rb, rc = order
-            m1 = mesh.midpoint(edge_key(ra, rb))
-            m2 = mesh.midpoint(edge_key(rb, rc))
-            children = (
-                mesh.add_triangle(ra, m1, m2, parent=tid),
-                mesh.add_triangle(m1, rb, m2, parent=tid),
-                mesh.add_triangle(ra, m2, rc, parent=tid),
-            )
-            mesh.green.add(tid)  # anisotropic: dissolved next phase
-            report.refined_1to3 += 1
-            mesh.kill(tid)
-            mesh.children[tid] = children
-            report.families[tid] = children
-            report.new_triangles.extend(children)
-            continue
-        if count == 3:
-            mab = mesh.midpoint(edges[0])
-            mbc = mesh.midpoint(edges[1])
-            mca = mesh.midpoint(edges[2])
-            children = (
-                mesh.add_triangle(a, mab, mca, parent=tid),
-                mesh.add_triangle(mab, b, mbc, parent=tid),
-                mesh.add_triangle(mca, mbc, c, parent=tid),
-                mesh.add_triangle(mab, mbc, mca, parent=tid),
-            )
-            report.refined_1to4 += 1
-        else:  # exactly one marked edge: bisect toward the opposite vertex
-            which = flags.index(True)
-            # rotate (a, b, c) so the marked edge is (a, b)
-            order = [(a, b, c), (b, c, a), (c, a, b)][which]
-            ra, rb, rc = order
-            m = mesh.midpoint(edges[which])
-            children = (
-                mesh.add_triangle(ra, m, rc, parent=tid),
-                mesh.add_triangle(m, rb, rc, parent=tid),
-            )
-            mesh.green.add(tid)
-            report.refined_1to2 += 1
-        mesh.kill(tid)
+    tids, count, flags = table.tids[sel], count[sel], flags[sel]
+    # rotation: 1:2 starts at the marked edge, 1:3 after the unmarked one
+    rot = np.where(
+        count == 1, np.argmax(flags, axis=1),
+        np.where(count == 2, (np.argmax(~flags, axis=1) + 1) % 3, 0),
+    )
+    turn = (rot[:, None] + np.arange(3)) % 3
+    rows = np.arange(len(sel))[:, None]
+    corners = table.verts[sel][rows, turn]
+    keys = table.keys[table.slots[sel]][rows, turn]
+    # a triangle with c marked edges requests the midpoints of its first c
+    # rotated edges (1:3 rotates its two marked edges to the front)
+    asks = np.arange(3) < count[:, None]
+    mids = np.zeros((len(sel), 3), dtype=np.int64)
+    mids[asks] = mesh._midpoints_for(keys[asks])
+    pattern = _CHILDREN[count]
+    local = np.concatenate([corners, mids], axis=1)
+    kids = np.take_along_axis(local, np.maximum(pattern, 0).reshape(len(sel), -1), axis=1)
+    kids = kids.reshape(len(sel), 4, 3)[pattern[:, :, 0] >= 0]
+    nkids = _NUM_CHILDREN[count]
+    mesh._set_alive(tids, False)
+    first = int(mesh._append_tris(kids, np.repeat(tids, nkids))[0])
+    ends = first + np.cumsum(nkids)
+    for tid, c, n, end in zip(tids.tolist(), count.tolist(), nkids.tolist(), ends.tolist()):
+        children = tuple(range(end - n, end))
         mesh.children[tid] = children
         report.families[tid] = children
-        report.new_triangles.extend(children)
+        if c != 3:
+            mesh.green.add(tid)  # 1:2 and 1:3 are dissolved next phase
+    report.refined_1to4 = int((count == 3).sum())
+    report.refined_1to3 = int((count == 2).sum())
+    report.refined_1to2 = int((count == 1).sum())
+    report.new_triangles = list(range(first, int(ends[-1])))
     report.new_vertices = mesh.num_vertices - nv_before
     return report
 
@@ -169,22 +172,19 @@ def dissolve_green_families(mesh: TriMesh) -> Dict[int, Tuple[int, ...]]:
     hand vertex data from the children's owners to the revived parent's
     owner (the dissolution handoff).
     """
-    dissolved: Dict[int, Tuple[int, ...]] = {}
-    for parent in sorted(mesh.green):
-        children = mesh.children.get(parent)
-        if children is None:
-            mesh.green.discard(parent)
-            continue
-        if any(not mesh.alive[c] for c in children):
+    dissolved = {p: mesh.children[p] for p in sorted(mesh.green) if p in mesh.children}
+    if dissolved:
+        kids = np.fromiter(itertools.chain.from_iterable(dissolved.values()), np.int64)
+        dead = [p for p, fam in dissolved.items() if not mesh.alive[list(fam)].all()]
+        if dead:
             raise AssertionError(
-                f"green child of parent {parent} was refined; red-green "
+                f"green child of parent {dead[0]} was refined; red-green "
                 "discipline violated (dissolve greens before refining)"
             )
-        for child in children:
-            mesh.kill(child)
-        mesh.revive(parent)
-        del mesh.children[parent]
-        dissolved[parent] = children
+        mesh._set_alive(kids, False)
+        mesh._set_alive(np.fromiter(dissolved, np.int64, len(dissolved)), True)
+        for parent in dissolved:
+            del mesh.children[parent]
     mesh.green.clear()
     return dissolved
 
@@ -197,15 +197,7 @@ def hanging_edge_marks(mesh: TriMesh) -> Set[EdgeKey]:
     midpoint vertex is still in use — a hanging node.  Marking those edges
     (and closing) restores conformity on the next :func:`refine`.
     """
-    used: Set[int] = set()
-    for tid in mesh.alive_tris():
-        used.update(mesh.tri_verts(tid))
-    marks: Set[EdgeKey] = set()
-    for e in mesh.edges():
-        mid = mesh.edge_midpoint.get(e)
-        if mid is not None and mid in used:
-            marks.add(e)
-    return marks
+    return edge_set(mesh.hanging_edges())
 
 
 @profiled("mesh")
@@ -239,13 +231,11 @@ def refine_cascade(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green")
                 e in marked for c in children if mesh.alive[c] for e in mesh.tri_edges(c)
             ):
                 continue
-            for child in children:
-                mesh.kill(child)
+            mesh._set_alive(np.asarray(children, dtype=np.int64), False)
             mesh.revive(parent)
             del mesh.children[parent]
             mesh.green.discard(parent)
-            for e in _tri_edge_list(mesh, parent):
-                marked.add(e)
+            marked.update(mesh.tri_edges(parent))
             converted = True
         if converted:
             continue
@@ -258,8 +248,3 @@ def refine_cascade(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green")
         total.families.update(report.families)
         if report.refined == 0:
             return total
-
-
-def _tri_edge_list(mesh: TriMesh, tid: int) -> Tuple[EdgeKey, ...]:
-    a, b, c = mesh.tri_verts(tid)
-    return (edge_key(a, b), edge_key(b, c), edge_key(c, a))

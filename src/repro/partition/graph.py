@@ -113,15 +113,21 @@ def mesh_dual_graph(mesh: TriMesh, weights: Optional[Dict[int, float]] = None) -
     Node ``i`` is element ``tids[i]`` at its centroid; its neighbours are
     listed in ascending node order.  Works for 2-D and 3-D meshes.
     """
-    from repro.mesh.dual import dual_graph
+    from repro.mesh.dual import dual_csr, dual_graph
 
-    tids, adj = dual_graph(mesh)
-    lens = [len(adj[t]) for t in tids]
-    # tids ascend and every adjacency list is sorted, so node ids are too
-    adjncy = np.searchsorted(
-        tids, np.fromiter(itertools.chain.from_iterable(adj[t] for t in tids), np.int64, sum(lens))
-    )
-    corners = np.asarray([mesh.tri_verts(t) for t in tids], dtype=np.int64)
+    if hasattr(mesh, "tet_faces"):
+        tids, adj = dual_graph(mesh)
+        lens = [len(adj[t]) for t in tids]
+        # tids ascend and every adjacency list is sorted, so node ids are too
+        adjncy = np.searchsorted(
+            tids, np.fromiter(itertools.chain.from_iterable(adj[t] for t in tids), np.int64, sum(lens))
+        )
+        xadj = np.concatenate(([0], np.cumsum(lens)))
+        corners = np.asarray([mesh.tri_verts(t) for t in tids], dtype=np.int64)
+    else:
+        ids, xadj, adjncy = dual_csr(mesh)
+        tids = ids.tolist()
+        corners = mesh.edge_table().verts
     coords = mesh.verts_array()[corners].mean(axis=1)
     vwgt = None if weights is None else np.asarray([weights.get(t, 1.0) for t in tids], dtype=np.float64)
-    return Graph(np.concatenate(([0], np.cumsum(lens))), adjncy, vwgt=vwgt, coords=coords), tids
+    return Graph(xadj, adjncy, vwgt=vwgt, coords=coords), tids

@@ -191,18 +191,23 @@ def inherit_ownership(mesh: TriMesh, owner: Dict[int, int]) -> Dict[int, int]:
     majority owner among their most recent children).  Entries for dead
     triangles are dropped.
     """
-    kids: Dict[int, List[int]] = {}
-    for t, parent in enumerate(mesh.parent):
-        if parent >= 0:
-            kids.setdefault(parent, []).append(t)
-
+    parent = np.asarray(mesh.parent).tolist()
+    kids: Optional[Dict[int, List[int]]] = None
     out: Dict[int, int] = {}
     for tid in mesh.alive_tris():
+        found = owner.get(tid)
+        if found is not None:
+            out[tid] = found
+            continue
+        if kids is None:
+            kids = {}
+            for t, p in enumerate(parent):
+                if p >= 0:
+                    kids.setdefault(p, []).append(t)
         # walk up the ancestry; at each unowned ancestor, poll its owned
         # descendants (covers revived-then-resplit families, where the
         # nearest owners are the *previous* children of an ancestor)
         t = tid
-        found: Optional[int] = None
         while t >= 0:
             if t in owner:
                 found = owner[t]
@@ -210,7 +215,7 @@ def inherit_ownership(mesh: TriMesh, owner: Dict[int, int]) -> Dict[int, int]:
             found = _descendant_owner(t, owner, kids)
             if found is not None:
                 break
-            t = mesh.parent[t]
+            t = parent[t]
         if found is None:
             raise KeyError(f"triangle {tid} has no owned ancestor or descendant")
         out[tid] = found

@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.mesh.mesh2d import TriMesh
+from repro.mesh.mesh2d import TriMesh, unpack_edge_keys
 
 __all__ = ["vertex_csr", "jacobi_sweep", "residual_norm", "interpolate_new_vertices"]
 
@@ -23,20 +23,20 @@ def vertex_csr(mesh: TriMesh) -> Tuple[np.ndarray, np.ndarray]:
     """CSR adjacency (xadj, adjncy) of the alive vertex graph.
 
     Rows cover vertex ids ``0 .. mesh.num_vertices-1``; vertices not on any
-    alive edge get empty rows.
+    alive edge get empty rows.  Works for a :class:`TriMesh` and, through
+    its ``edges()``, a :class:`~repro.mesh.mesh3d.TetMesh`.
     """
     nv = mesh.num_vertices
-    pairs = []
-    for (a, b) in mesh.edges():
-        pairs.append((a, b))
-        pairs.append((b, a))
-    if not pairs:
-        return np.zeros(nv + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    arr = np.asarray(sorted(pairs), dtype=np.int64)
-    counts = np.bincount(arr[:, 0], minlength=nv)
+    if hasattr(mesh, "edge_table"):
+        lo, hi = unpack_edge_keys(mesh.edge_table().keys)
+    else:
+        lo, hi = np.asarray(list(mesh.edges()), dtype=np.int64).reshape(-1, 2).T
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    order = np.lexsort((dst, src))
     xadj = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(counts, out=xadj[1:])
-    return xadj, arr[:, 1].copy()
+    np.cumsum(np.bincount(src, minlength=nv), out=xadj[1:])
+    return xadj, dst[order]
 
 
 def jacobi_sweep(

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.mesh.error import distance_band_marks
 from repro.mesh.mesh2d import EdgeKey, TriMesh
+from repro.mesh.quality import triangle_centroids
 
 __all__ = ["MovingShock"]
 
@@ -50,11 +51,5 @@ class MovingShock:
     def coarsen_candidates(self, mesh: TriMesh, phase: int) -> Set[int]:
         """Triangles far from the front (over-resolved)."""
         front = self.front(phase)
-        verts = mesh.verts_array()
-        out: Set[int] = set()
-        for tid in mesh.alive_tris():
-            tri = mesh.tri_verts(tid)
-            cx = (verts[tri[0]][0] + verts[tri[1]][0] + verts[tri[2]][0]) / 3.0
-            if abs(cx - front) > self.coarsen_distance:
-                out.add(tid)
-        return out
+        far = np.abs(triangle_centroids(mesh)[:, 0] - front) > self.coarsen_distance
+        return set(mesh.edge_table().tids[far].tolist())

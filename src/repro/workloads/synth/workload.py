@@ -20,16 +20,17 @@ import numpy as np
 from repro.apps.adapt.common import AdaptConfig
 from repro.mesh.error import distance_band_marks
 from repro.mesh.mesh2d import EdgeKey, TriMesh
+from repro.mesh.quality import triangle_centroids
 from repro.workloads.synth.spec import Feature, PhaseSpec, ScenarioSpec
 
 __all__ = ["SyntheticWorkload", "spec_workload", "spec_config"]
 
 
-def _feature_distance(f: Feature, x: float, y: float) -> float:
-    """Signed distance of (x, y) to one feature."""
+def _feature_distance(f: Feature, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Signed distance of points (x, y) to one feature, elementwise."""
     if f.kind == "front":
         return (x - f.cx) * f.nx + (y - f.cy) * f.ny
-    return float(np.hypot(x - f.cx, y - f.cy)) - f.radius
+    return np.hypot(x - f.cx, y - f.cy) - f.radius
 
 
 @dataclass(frozen=True)
@@ -73,16 +74,11 @@ class SyntheticWorkload:
     def coarsen_candidates(self, mesh: TriMesh, phase: int) -> Set[int]:
         """Triangles whose centroid is far from every feature."""
         ph = self._phase(phase)
-        verts = mesh.verts_array()
-        out: Set[int] = set()
-        for tid in mesh.alive_tris():
-            tri = mesh.tri_verts(tid)
-            cx = (verts[tri[0]][0] + verts[tri[1]][0] + verts[tri[2]][0]) / 3.0
-            cy = (verts[tri[0]][1] + verts[tri[1]][1] + verts[tri[2]][1]) / 3.0
-            if all(abs(_feature_distance(f, cx, cy)) > ph.coarsen_distance
-                   for f in ph.features):
-                out.add(tid)
-        return out
+        tids, (cx, cy) = mesh.edge_table().tids, triangle_centroids(mesh).T
+        far = np.ones(len(tids), dtype=bool)
+        for f in ph.features:
+            far &= np.abs(_feature_distance(f, cx, cy)) > ph.coarsen_distance
+        return set(tids[far].tolist())
 
 
 def spec_workload(spec: ScenarioSpec) -> SyntheticWorkload:

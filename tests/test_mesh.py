@@ -83,6 +83,112 @@ class TestTriMesh:
         assert m.num_triangles > 50
 
 
+def _brute_edge_table(mesh):
+    """Edge table rebuilt the slow way: one dict pass over the alive triangles."""
+    table = {}
+    for tid in mesh.alive_tris():
+        for e in mesh.tri_edges(tid):
+            table.setdefault(e, []).append(tid)
+    return table
+
+
+def _assert_table_fresh(mesh):
+    """The cached edge table equals a brute-force rebuild from the alive triangles."""
+    table = mesh.edge_table()
+    brute = _brute_edge_table(mesh)
+    keys = sorted(brute)
+    assert table.tids.tolist() == mesh.alive_tris()
+    assert table.verts.tolist() == [list(mesh.tri_verts(t)) for t in mesh.alive_tris()]
+    assert [(k >> 32, k & 0xFFFFFFFF) for k in table.keys.tolist()] == keys
+    assert table.count.tolist() == [len(brute[e]) for e in keys]
+    assert table.tris.tolist() == [(brute[e] + [-1])[:2] for e in keys]
+    slot_keys = table.keys[table.slots]
+    assert [
+        [(k >> 32, k & 0xFFFFFFFF) for k in row] for row in slot_keys.tolist()
+    ] == [list(mesh.tri_edges(t)) for t in mesh.alive_tris()]
+    assert mesh.edges() == brute
+    assert list(mesh.edges()) == list(brute)  # first-use order, too
+
+
+class TestEdgeTable:
+    def test_matches_brute_force(self):
+        m = delaunay_mesh(40, seed=1)
+        _assert_table_fresh(m)
+        refine(m, close_marks(m, set(list(m.edges())[:7])))
+        _assert_table_fresh(m)
+
+    def test_cached_until_mutation(self):
+        m = structured_mesh(2)
+        assert m.edge_table() is m.edge_table()
+
+    @pytest.mark.parametrize("mutation", ["add_triangle", "kill", "revive", "add_vertex"])
+    def test_every_mutation_invalidates(self, mutation):
+        m = structured_mesh(2)
+        if mutation == "revive":
+            m.kill(3)
+        before = m.edge_table()
+        if mutation == "add_triangle":
+            v = m.add_vertex(2.0, 2.0)
+            m.edge_table()
+            m.add_triangle(2, 5, v)
+        elif mutation == "kill":
+            m.kill(3)
+        elif mutation == "revive":
+            m.revive(3)
+        else:
+            m.add_vertex(0.3, 0.7)
+        after = m.edge_table()
+        assert after is not before, f"{mutation} left the edge table cached"
+        _assert_table_fresh(m)
+        assert len(after.used_vertices(m.num_vertices)) == m.num_vertices
+
+
+def _conform(mesh, marks):
+    """Refine ``marks`` and close every hanging node left behind."""
+    refine_cascade(mesh, marks)
+    for _ in range(16):
+        extra = hanging_edge_marks(mesh)
+        if not extra:
+            return
+        refine_cascade(mesh, extra)
+    raise AssertionError("hanging-node closure did not converge")
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), data=st.data())
+def test_property_random_adaptation_keeps_table_and_mesh_valid(n, data):
+    """Random marks, cascades, green dissolves and coarsenings on a
+    structured mesh: after every step the mesh validates, the cached edge
+    table equals a brute-force rebuild, and red-green closure leaves each
+    alive triangle with 0, 1 or 3 marked edges."""
+    m = structured_mesh(n)
+    phases = data.draw(st.integers(min_value=1, max_value=3), label="phases")
+    for _ in range(phases):
+        edges = sorted(m.edges())
+        marks = data.draw(st.sets(st.sampled_from(edges), max_size=6), label="marks")
+        closed = close_marks(m, marks)
+        assert closed >= marks
+        for t in m.alive_tris():
+            assert sum(e in closed for e in m.tri_edges(t)) in (0, 1, 3)
+        _assert_table_fresh(m)
+        _conform(m, marks)
+        m.validate()
+        _assert_table_fresh(m)
+        dissolve_green_families(m)
+        _assert_table_fresh(m)
+        _conform(m, hanging_edge_marks(m))
+        m.validate()
+        _assert_table_fresh(m)
+        alive = m.alive_tris()
+        candidates = data.draw(
+            st.sets(st.sampled_from(alive)) | st.just(set(alive)), label="coarsen"
+        )
+        coarsen(m, candidates)
+        m.validate()
+        _assert_table_fresh(m)
+        assert triangle_areas(m).sum() == pytest.approx(1.0)
+
+
 class TestRefine:
     def test_full_refine_quadruples(self):
         m = structured_mesh(2)

@@ -74,8 +74,10 @@ def digest_all(arrays) -> str:
 
 def midpoint_rows(mesh) -> np.ndarray:
     """The memoised midpoint map as sorted ``(a, b, mid)`` int64 rows."""
-    rows = sorted((a, b, mid) for (a, b), mid in mesh.edge_midpoint.items())
-    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    from repro.mesh.mesh2d import unpack_edge_keys
+
+    keys, mids = mesh.midpoint_table()
+    return np.stack([*unpack_edge_keys(keys), mids], axis=1).astype(np.int64)
 
 
 def edge_rows(edges) -> np.ndarray:
