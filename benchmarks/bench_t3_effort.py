@@ -40,9 +40,22 @@ def test_t3_shape(t3_rows):
 
 
 def test_t3_benchmark(benchmark):
+    import inspect
     from pathlib import Path
+
+    from repro.apps.adapt import ADAPT_PROGRAMS
+    from repro.apps.jacobi import JACOBI_PROGRAMS
+    from repro.apps.jacobi.hybrid_app import jacobi_hybrid
+    from repro.apps.nbody import NBODY_PROGRAMS
 
     apps = Path(__file__).resolve().parent.parent / "src" / "repro" / "apps"
     files = sorted(apps.rglob("*_app.py"))
-    assert len(files) == 10  # 3 apps x 3 models + hybrid jacobi
+    # every registered program's source, plus R-F6's hybrid jacobi (which
+    # no registry holds)
+    programs = [
+        *ADAPT_PROGRAMS.values(), *JACOBI_PROGRAMS.values(), *NBODY_PROGRAMS.values(),
+        jacobi_hybrid,
+    ]
+    expected = {Path(inspect.getsourcefile(p)).resolve() for p in programs}
+    assert {f.resolve() for f in files} == expected
     benchmark(lambda: [count_loc(f) for f in files])
