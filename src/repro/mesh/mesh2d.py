@@ -105,11 +105,7 @@ class EdgeTable:
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Edge id of each key, ``-1`` where the key is no alive edge."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if not len(self.keys):
-            return np.full(len(keys), -1, dtype=np.int64)
-        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys[at] == keys, at, -1)
+        return _search(self.keys, keys)
 
     def mask(self, edges: Iterable[EdgeKey]) -> np.ndarray:
         """Boolean per edge id: is the edge in ``edges``?"""
@@ -307,10 +303,10 @@ class TriMesh:
     def midpoints_of(self, keys: np.ndarray) -> np.ndarray:
         """Memoised midpoint of each edge key, ``-1`` where there is none."""
         mkeys, mvids = self.midpoint_table()
-        if not len(mkeys):
-            return np.full(len(keys), -1, dtype=np.int64)
-        at = np.minimum(np.searchsorted(mkeys, keys), len(mkeys) - 1)
-        return np.where(mkeys[at] == keys, mvids[at], -1)
+        at = _search(mkeys, keys)
+        out = np.full(len(at), -1, dtype=np.int64)
+        out[at >= 0] = mvids[at[at >= 0]]
+        return out
 
     def _midpoints_for(self, keys: np.ndarray) -> np.ndarray:
         """Get-or-create the midpoints of ``keys``, creating in key order.
@@ -405,6 +401,15 @@ class TriMesh:
             f"TriMesh({self.num_vertices} verts, {self.num_triangles} alive tris, "
             f"{self.num_all_triangles} total)"
         )
+
+
+def _search(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Index of each of ``keys`` in ``sorted_keys``, ``-1`` where absent."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if not len(sorted_keys):
+        return np.full(len(keys), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return np.where(sorted_keys[at] == keys, at, -1)
 
 
 def _frozen(view: np.ndarray) -> np.ndarray:

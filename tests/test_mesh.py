@@ -22,7 +22,7 @@ from repro.mesh import (
 from repro.mesh.adapt import adapt_phase
 from repro.mesh.error import mark_by_threshold
 from repro.mesh.io import load_mesh, save_mesh
-from repro.mesh.mesh2d import TriMesh, edge_key
+from repro.mesh.mesh2d import TriMesh, edge_key, unpack_edge_keys
 from repro.mesh.refine import (
     dissolve_green_families,
     hanging_edge_marks,
@@ -97,15 +97,19 @@ def _assert_table_fresh(mesh):
     table = mesh.edge_table()
     brute = _brute_edge_table(mesh)
     keys = sorted(brute)
-    assert table.tids.tolist() == mesh.alive_tris()
-    assert table.verts.tolist() == [list(mesh.tri_verts(t)) for t in mesh.alive_tris()]
-    assert [(k >> 32, k & 0xFFFFFFFF) for k in table.keys.tolist()] == keys
+    alive = mesh.alive_tris()
+    assert table.tids.tolist() == alive
+    assert table.verts.tolist() == [list(mesh.tri_verts(t)) for t in alive]
+    assert list(zip(*(a.tolist() for a in unpack_edge_keys(table.keys)))) == keys
     assert table.count.tolist() == [len(brute[e]) for e in keys]
     assert table.tris.tolist() == [(brute[e] + [-1])[:2] for e in keys]
-    slot_keys = table.keys[table.slots]
-    assert [
-        [(k >> 32, k & 0xFFFFFFFF) for k in row] for row in slot_keys.tolist()
-    ] == [list(mesh.tri_edges(t)) for t in mesh.alive_tris()]
+    assert table.pos.tolist() == [
+        [alive.index(t) if t >= 0 else -1 for t in (brute[e] + [-1])[:2]] for e in keys
+    ]
+    lo, hi = unpack_edge_keys(table.keys[table.slots])
+    assert np.stack([lo, hi], axis=-1).tolist() == [
+        [list(e) for e in mesh.tri_edges(t)] for t in alive
+    ]
     assert mesh.edges() == brute
     assert list(mesh.edges()) == list(brute)  # first-use order, too
 
