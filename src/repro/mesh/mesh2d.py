@@ -17,7 +17,7 @@ pass and cached until the next mutation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,10 +46,8 @@ def pack_edge_keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return (np.asarray(lo, dtype=np.int64) << 32) | np.asarray(hi, dtype=np.int64)
 
 
-def edge_keys_of(edges: Iterable[EdgeKey]) -> np.ndarray:
+def edge_keys_of(edges: Collection[EdgeKey]) -> np.ndarray:
     """int64 keys of a collection of canonical ``(a, b)`` edges."""
-    if not hasattr(edges, "__len__"):
-        edges = list(edges)
     return np.fromiter(((a << 32) | b for a, b in edges), np.int64, len(edges))
 
 
@@ -107,7 +105,7 @@ class EdgeTable:
         """Edge id of each key, ``-1`` where the key is no alive edge."""
         return _search(self.keys, keys)
 
-    def mask(self, edges: Iterable[EdgeKey]) -> np.ndarray:
+    def mask(self, edges: Collection[EdgeKey]) -> np.ndarray:
         """Boolean per edge id: is the edge in ``edges``?"""
         out = np.zeros(len(self.keys), dtype=bool)
         ids = self.lookup(edge_keys_of(edges))
