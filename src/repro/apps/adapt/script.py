@@ -99,8 +99,8 @@ def _owners(tids: np.ndarray, owner: Dict[int, int]) -> np.ndarray:
 
 def _elements(mesh) -> Tuple[np.ndarray, np.ndarray]:
     """Alive element ids (ascending) and their vertex rows, in 2-D or 3-D."""
-    if hasattr(mesh, "edge_table"):
-        table = mesh.edge_table()
+    if isinstance(mesh, TriMesh):
+        table = mesh.edges()
         return table.tids, table.verts
     tids = mesh.alive_tris()
     rows = np.asarray([mesh.tri_verts(t) for t in tids], dtype=np.int64)
@@ -270,7 +270,7 @@ def build_script(
             marks = set(shock.marks(mesh, k)) | hanging_edge_marks(mesh)
             closed = close_marks(mesh, marks)
             # distributed mark agreement: marked edges on partition boundaries
-            table = mesh.edge_table()
+            table = mesh.edges()
             eids = table.lookup(edge_keys_of(closed))
             eids = eids[eids >= 0]
             own_mid = np.full(mesh.num_all_triangles + 1, -1, dtype=np.int64)
@@ -283,7 +283,7 @@ def build_script(
             )
             pa = np.minimum(first, second)[straddle]
             pb = np.maximum(first, second)[straddle]
-            lo, hi = unpack_edge_keys(table.keys[eids[straddle]])
+            lo, hi = unpack_edge_keys(table.key[eids[straddle]])
             bmarks = _group_by_pair(pa, pb, lo * (1 << 20) + hi, nprocs)
             plan.pre_elems_per_rank = np.bincount(
                 own_mid[table.tids], minlength=nprocs
@@ -295,7 +295,7 @@ def build_script(
             # coarsening (their stored values are stale everywhere, so they
             # are re-interpolated — deterministically, in every program and
             # in the sequential reference alike)
-            used_now = mesh.edge_table().used_vertices(mesh.num_vertices)
+            used_now = mesh.edges().used_vertices(mesh.num_vertices)
             mkeys, mids = mesh.midpoint_table()
             fresh = np.ones(len(mids), dtype=bool)
             known = mids < len(prev_active)
@@ -318,7 +318,7 @@ def build_script(
             else:
                 new_owner = owner_inh
             imb_after = ImbalancePolicy.imbalance(balancer.loads(new_owner))
-            tids = mesh.edge_table().tids
+            tids = mesh.edges().tids
             src, dst = _owners(tids, owner_inh), _owners(tids, new_owner)
             moved = src != dst
             plan.migration_elems = _group_by_pair(src[moved], dst[moved], tids[moved], nprocs)
@@ -347,7 +347,7 @@ def build_script(
         plan.nverts = mesh.num_vertices
         plan.nels = mesh.num_triangles
         plan.elems_per_rank = np.bincount(
-            _owners(mesh.edge_table().tids, owner), minlength=nprocs
+            _owners(mesh.edges().tids, owner), minlength=nprocs
         ).astype(np.int64)
         plan.rows = rows
         plan.row_xadj = rx

@@ -19,7 +19,7 @@ def dual_csr(mesh: TriMesh) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     the triangles across its interior edges, are node ids in ascending
     order.
     """
-    table = mesh.edge_table()
+    table = mesh.edges()
     a, b = table.pos[table.count == 2].T
     src = np.concatenate([a, b])
     dst = np.concatenate([b, a])

@@ -28,7 +28,7 @@ def gradient_indicator(mesh: TriMesh, vertex_values: np.ndarray) -> Dict[EdgeKey
             f"need a value per vertex ({mesh.num_vertices}), got {values.shape[0]}"
         )
     verts = mesh.verts_array()
-    lo, hi = unpack_edge_keys(mesh.edge_table().keys)
+    lo, hi = unpack_edge_keys(mesh.edges().key)
     d = verts[lo] - verts[hi]
     err = np.abs(values[lo] - values[hi]) * np.hypot(d[:, 0], d[:, 1])
     return dict(zip(zip(lo.tolist(), hi.tolist()), err.tolist()))
@@ -54,13 +54,13 @@ def distance_band_marks(
     """
     if band <= 0:
         raise ValueError(f"band must be positive, got {band}")
-    table = mesh.edge_table()
+    table = mesh.edges()
     level = mesh.level
     first, second = table.tris[:, 0], table.tris[:, 1]
     open_ = (level[first] < max_level) | (
         (second >= 0) & (level[np.maximum(second, 0)] < max_level)
     )
-    keys = table.keys[open_]
+    keys = table.key[open_]
     lo, hi = unpack_edge_keys(keys)
     verts = mesh.verts_array()
     mx = (verts[lo, 0] + verts[hi, 0]) / 2.0

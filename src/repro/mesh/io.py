@@ -16,7 +16,7 @@ def save_mesh(mesh: TriMesh, path: str) -> None:
     survive a round trip (reloaded meshes are fresh level-0 meshes).
     Unused vertices are compacted away.
     """
-    used, tris = np.unique(mesh.edge_table().verts, return_inverse=True)
+    used, tris = np.unique(mesh.edges().verts, return_inverse=True)
     verts = mesh.verts_array()[used]
     np.savez_compressed(path, verts=verts, tris=tris.reshape(-1, 3).astype(np.int64))
 

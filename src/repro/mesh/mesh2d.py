@@ -11,13 +11,14 @@ with ``alive``, ``parent`` and ``level`` beside it, and an ``(nv, 2)``
 coordinate array.  An undirected edge ``(a, b)``, ``a < b``, is the int64
 key ``a << 32 | b`` wherever edges are handled in bulk (the tuple
 :data:`EdgeKey` stays the public currency of mark sets).  The alive
-mesh's edges live in an :class:`EdgeTable`, built by one ``np.unique``
-pass and cached until the next mutation.
+mesh's edges live in an :class:`EdgeTable`, built by one sorted pass and
+cached until the next mutation; :meth:`TriMesh.edges` is its one accessor.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
+from collections.abc import Mapping
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "TriMesh",
     "EdgeTable",
     "edge_key",
-    "pack_edge_keys",
     "unpack_edge_keys",
     "edge_keys_of",
     "edge_set",
@@ -39,11 +39,6 @@ _LOW = (1 << 32) - 1
 def edge_key(a: int, b: int) -> EdgeKey:
     """Canonical undirected edge key."""
     return (a, b) if a < b else (b, a)
-
-
-def pack_edge_keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """int64 keys ``lo << 32 | hi`` of edges with ``lo < hi`` elementwise."""
-    return (np.asarray(lo, dtype=np.int64) << 32) | np.asarray(hi, dtype=np.int64)
 
 
 def edge_keys_of(edges: Collection[EdgeKey]) -> np.ndarray:
@@ -63,15 +58,19 @@ def edge_set(keys: np.ndarray) -> Set[EdgeKey]:
     return set(zip(lo.tolist(), hi.tolist()))
 
 
-class EdgeTable:
+class EdgeTable(Mapping):
     """The undirected edges of the alive mesh, built in one sorted pass.
 
     ``tids`` are the alive triangle ids (ascending) and ``verts`` their
     vertex rows; an alive triangle's *position* indexes both.  Edge ``i``
-    has key ``keys[i]`` (ascending), borders ``count[i]`` alive triangles,
+    has key ``key[i]`` (ascending), borders ``count[i]`` alive triangles,
     the first two at positions ``pos[i]`` (``-1`` pads a boundary edge;
     the lower triangle id comes first).  ``slots[j]`` holds the edge ids
     of position ``j``'s edges ``(v0, v1)``, ``(v1, v2)``, ``(v2, v0)``.
+
+    It is also a read-only mapping ``(a, b) -> [alive triangle ids]``
+    (ascending), iterated in order of first use by the alive triangles:
+    ascending triangle id, edge slots in order.
     """
 
     def __init__(self, tids: np.ndarray, verts: np.ndarray):
@@ -80,14 +79,14 @@ class EdgeTable:
         m = len(tids)
         lo = np.minimum(verts, verts[:, [1, 2, 0]])
         hi = np.maximum(verts, verts[:, [1, 2, 0]])
-        flat = pack_edge_keys(lo, hi).ravel()
+        flat = ((lo << 32) | hi).ravel()
         # a stable sort keeps each edge's triangles in ascending-id order
         order = np.argsort(flat, kind="stable")
         ordered = flat[order]
         new = np.ones(len(flat), dtype=bool)
         new[1:] = ordered[1:] != ordered[:-1]
         starts = np.flatnonzero(new)
-        self.keys = ordered[starts]
+        self.key = ordered[starts]
         self.count = np.diff(np.append(starts, len(flat)))
         self.slots = np.empty(len(flat), dtype=np.int64)
         self.slots[order] = np.cumsum(new) - 1
@@ -101,13 +100,27 @@ class EdgeTable:
         self.pos = pos
         self.tris = np.where(pos >= 0, tids[np.maximum(pos, 0)], -1)
 
+    def __getitem__(self, e: EdgeKey) -> List[int]:
+        i = int(self.lookup(edge_keys_of([e]))[0])
+        if i < 0:
+            raise KeyError(e)
+        return self.edge_tids(i)
+
+    def __iter__(self) -> Iterator[EdgeKey]:
+        first_use = np.argsort(self._order[self._starts], kind="stable")
+        lo, hi = unpack_edge_keys(self.key[first_use])
+        return zip(lo.tolist(), hi.tolist())
+
+    def __len__(self) -> int:
+        return len(self.key)
+
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Edge id of each key, ``-1`` where the key is no alive edge."""
-        return _search(self.keys, keys)
+        return _search(self.key, keys)
 
     def mask(self, edges: Collection[EdgeKey]) -> np.ndarray:
         """Boolean per edge id: is the edge in ``edges``?"""
-        out = np.zeros(len(self.keys), dtype=bool)
+        out = np.zeros(len(self.key), dtype=bool)
         ids = self.lookup(edge_keys_of(edges))
         out[ids[ids >= 0]] = True
         return out
@@ -116,10 +129,6 @@ class EdgeTable:
         """Every alive triangle on edge ``i``, ascending."""
         s = self._starts[i]
         return self.tids[self._order[s : s + self.count[i]] // 3].tolist()
-
-    def appearance_order(self) -> np.ndarray:
-        """Edge ids in order of first use by the alive triangles' slots."""
-        return np.argsort(self._order[self._starts], kind="stable")
 
     def used_vertices(self, nv: int) -> np.ndarray:
         """Boolean per vertex id: is it a corner of an alive triangle?"""
@@ -252,33 +261,20 @@ class TriMesh:
         a, b, c = self._tri[tid].tolist()
         return (edge_key(a, b), edge_key(b, c), edge_key(c, a))
 
-    def edge_table(self) -> EdgeTable:
-        """The alive mesh's :class:`EdgeTable`, cached until a mutation."""
+    def edges(self) -> EdgeTable:
+        """The alive mesh's :class:`EdgeTable`, cached until a mutation.
+
+        As a mapping it is the undirected edge -> alive triangles using it
+        (1 boundary, 2 interior), in order of first use.
+        """
         if self._table is None:
             tids = np.flatnonzero(self._alive[: self._nt])
             self._table = EdgeTable(tids, self._tri[tids].astype(np.int64))
         return self._table
 
-    def edges(self) -> Dict[EdgeKey, List[int]]:
-        """Undirected edge -> alive triangles using it (1 boundary, 2 interior).
-
-        Edges come in order of first use by the alive triangles (ascending
-        id, edge slots in order), each with its triangles ascending.
-        """
-        table = self.edge_table()
-        order = table.appearance_order()
-        lo, hi = (a.tolist() for a in unpack_edge_keys(table.keys[order]))
-        if len(order) and table.count.max() > 2:
-            return {(a, b): table.edge_tids(i) for a, b, i in zip(lo, hi, order.tolist())}
-        first, second = table.tris[order].T.tolist()
-        return {
-            (a, b): [s, t] if t >= 0 else [s]
-            for a, b, s, t in zip(lo, hi, first, second)
-        }
-
     def boundary_edges(self) -> Set[EdgeKey]:
-        table = self.edge_table()
-        return edge_set(table.keys[table.count == 1])
+        table = self.edges()
+        return edge_set(table.key[table.count == 1])
 
     # -- refinement support ----------------------------------------------------------
 
@@ -360,12 +356,12 @@ class TriMesh:
         midpoint of one of its own (unrefined) edges — that would mean a
         hanging node.
         """
-        table = self.edge_table()
+        table = self.edges()
         crowded = np.flatnonzero(table.count > 2)
         if len(crowded):
             i = int(crowded[0])
             raise AssertionError(
-                f"edge {edge_set(table.keys[i : i + 1]).pop()} shared by "
+                f"edge {edge_set(table.key[i : i + 1]).pop()} shared by "
                 f"{table.count[i]} triangles: {table.edge_tids(i)}"
             )
         p0, p1, p2 = (self._xy[table.verts[:, k]] for k in range(3))
@@ -389,10 +385,10 @@ class TriMesh:
 
     def hanging_edges(self) -> np.ndarray:
         """Keys of alive edges whose memoised midpoint an alive triangle uses."""
-        table = self.edge_table()
-        mids = self.midpoints_of(table.keys)
+        table = self.edges()
+        mids = self.midpoints_of(table.key)
         used = table.used_vertices(self._nv)
-        return table.keys[(mids >= 0) & used[np.maximum(mids, 0)]]
+        return table.key[(mids >= 0) & used[np.maximum(mids, 0)]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

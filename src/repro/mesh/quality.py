@@ -21,14 +21,14 @@ __all__ = [
 
 def triangle_centroids(mesh: TriMesh) -> np.ndarray:
     """``(n_alive, 2)`` centroids of the alive triangles (ascending id)."""
-    p = mesh.verts_array()[mesh.edge_table().verts]
+    p = mesh.verts_array()[mesh.edges().verts]
     return (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
 
 
 def triangle_areas(mesh: TriMesh) -> np.ndarray:
     """Unsigned areas of the alive triangles (ascending id)."""
     verts = mesh.verts_array()
-    tris = mesh.edge_table().verts
+    tris = mesh.edges().verts
     if len(tris) == 0:
         return np.zeros(0)
     p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
@@ -41,7 +41,7 @@ def triangle_areas(mesh: TriMesh) -> np.ndarray:
 def triangle_angles(mesh: TriMesh) -> np.ndarray:
     """(n_alive, 3) interior angles in degrees."""
     verts = mesh.verts_array()
-    tris = mesh.edge_table().verts
+    tris = mesh.edges().verts
     if len(tris) == 0:
         return np.zeros((0, 3))
     p = verts[tris]  # (n, 3, 2)
@@ -59,7 +59,7 @@ def triangle_angles(mesh: TriMesh) -> np.ndarray:
 def aspect_ratios(mesh: TriMesh) -> np.ndarray:
     """Longest edge / (2 * inradius); 1.1547 for an equilateral triangle."""
     verts = mesh.verts_array()
-    tris = mesh.edge_table().verts
+    tris = mesh.edges().verts
     if len(tris) == 0:
         return np.zeros(0)
     p = verts[tris]

@@ -71,7 +71,7 @@ def close_marks(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") ->
     marked = set(marked)
     if mode == "mixed":
         return marked
-    table = mesh.edge_table()
+    table = mesh.edges()
     given = table.mask(marked)
     closed = given.copy()
     while True:
@@ -79,7 +79,7 @@ def close_marks(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") ->
         if closed[promote].all():
             break
         closed[promote] = True
-    marked |= edge_set(table.keys[closed & ~given])
+    marked |= edge_set(table.key[closed & ~given])
     return marked
 
 
@@ -110,7 +110,7 @@ def refine(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") -> Refi
     children are appended triangle by triangle.
     """
     report = RefinementReport()
-    table = mesh.edge_table()
+    table = mesh.edges()
     flags = table.mask(marked)[table.slots]
     count = flags.sum(axis=1)
     if mode != "mixed" and (count == 2).any():
@@ -129,7 +129,7 @@ def refine(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") -> Refi
     turn = (rot[:, None] + np.arange(3)) % 3
     rows = np.arange(len(sel))[:, None]
     corners = table.verts[sel][rows, turn]
-    keys = table.keys[table.slots[sel]][rows, turn]
+    keys = table.key[table.slots[sel]][rows, turn]
     # a triangle with c marked edges requests the midpoints of its first c
     # rotated edges (1:3 rotates its two marked edges to the front)
     asks = np.arange(3) < count[:, None]

@@ -127,7 +127,7 @@ def mesh_dual_graph(mesh: TriMesh, weights: Optional[Dict[int, float]] = None) -
     else:
         ids, xadj, adjncy = dual_csr(mesh)
         tids = ids.tolist()
-        corners = mesh.edge_table().verts
+        corners = mesh.edges().verts
     coords = mesh.verts_array()[corners].mean(axis=1)
     vwgt = None if weights is None else np.asarray([weights.get(t, 1.0) for t in tids], dtype=np.float64)
     return Graph(xadj, adjncy, vwgt=vwgt, coords=coords), tids

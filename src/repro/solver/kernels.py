@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.mesh.mesh2d import TriMesh, unpack_edge_keys
+from repro.mesh.mesh2d import EdgeTable, TriMesh, unpack_edge_keys
 
 __all__ = ["vertex_csr", "jacobi_sweep", "residual_norm", "interpolate_new_vertices"]
 
@@ -27,10 +27,11 @@ def vertex_csr(mesh: TriMesh) -> Tuple[np.ndarray, np.ndarray]:
     its ``edges()``, a :class:`~repro.mesh.mesh3d.TetMesh`.
     """
     nv = mesh.num_vertices
-    if hasattr(mesh, "edge_table"):
-        lo, hi = unpack_edge_keys(mesh.edge_table().keys)
+    edges = mesh.edges()
+    if isinstance(edges, EdgeTable):
+        lo, hi = unpack_edge_keys(edges.key)
     else:
-        lo, hi = np.asarray(list(mesh.edges()), dtype=np.int64).reshape(-1, 2).T
+        lo, hi = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2).T
     src = np.concatenate([lo, hi])
     dst = np.concatenate([hi, lo])
     order = np.lexsort((dst, src))

@@ -52,4 +52,4 @@ class MovingShock:
         """Triangles far from the front (over-resolved)."""
         front = self.front(phase)
         far = np.abs(triangle_centroids(mesh)[:, 0] - front) > self.coarsen_distance
-        return set(mesh.edge_table().tids[far].tolist())
+        return set(mesh.edges().tids[far].tolist())

@@ -74,7 +74,7 @@ class SyntheticWorkload:
     def coarsen_candidates(self, mesh: TriMesh, phase: int) -> Set[int]:
         """Triangles whose centroid is far from every feature."""
         ph = self._phase(phase)
-        tids, (cx, cy) = mesh.edge_table().tids, triangle_centroids(mesh).T
+        tids, (cx, cy) = mesh.edges().tids, triangle_centroids(mesh).T
         far = np.ones(len(tids), dtype=bool)
         for f in ph.features:
             far &= np.abs(_feature_distance(f, cx, cy)) > ph.coarsen_distance

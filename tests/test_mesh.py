@@ -94,19 +94,19 @@ def _brute_edge_table(mesh):
 
 def _assert_table_fresh(mesh):
     """The cached edge table equals a brute-force rebuild from the alive triangles."""
-    table = mesh.edge_table()
+    table = mesh.edges()
     brute = _brute_edge_table(mesh)
     keys = sorted(brute)
     alive = mesh.alive_tris()
     assert table.tids.tolist() == alive
     assert table.verts.tolist() == [list(mesh.tri_verts(t)) for t in alive]
-    assert list(zip(*(a.tolist() for a in unpack_edge_keys(table.keys)))) == keys
+    assert list(zip(*(a.tolist() for a in unpack_edge_keys(table.key)))) == keys
     assert table.count.tolist() == [len(brute[e]) for e in keys]
     assert table.tris.tolist() == [(brute[e] + [-1])[:2] for e in keys]
     assert table.pos.tolist() == [
         [alive.index(t) if t >= 0 else -1 for t in (brute[e] + [-1])[:2]] for e in keys
     ]
-    lo, hi = unpack_edge_keys(table.keys[table.slots])
+    lo, hi = unpack_edge_keys(table.key[table.slots])
     assert np.stack([lo, hi], axis=-1).tolist() == [
         [list(e) for e in mesh.tri_edges(t)] for t in alive
     ]
@@ -121,19 +121,29 @@ class TestEdgeTable:
         refine(m, close_marks(m, set(list(m.edges())[:7])))
         _assert_table_fresh(m)
 
+    def test_mapping_view(self):
+        m = structured_mesh(2)
+        table = m.edges()
+        assert len(table) == len(table.key) == 16
+        a, b = next(iter(table))
+        assert table[(a, b)] == [0]
+        assert (b, a) not in table and (a, 10**6) not in table
+        with pytest.raises(KeyError):
+            table[(b, a)]
+
     def test_cached_until_mutation(self):
         m = structured_mesh(2)
-        assert m.edge_table() is m.edge_table()
+        assert m.edges() is m.edges()
 
     @pytest.mark.parametrize("mutation", ["add_triangle", "kill", "revive", "add_vertex"])
     def test_every_mutation_invalidates(self, mutation):
         m = structured_mesh(2)
         if mutation == "revive":
             m.kill(3)
-        before = m.edge_table()
+        before = m.edges()
         if mutation == "add_triangle":
             v = m.add_vertex(2.0, 2.0)
-            m.edge_table()
+            m.edges()
             m.add_triangle(2, 5, v)
         elif mutation == "kill":
             m.kill(3)
@@ -141,7 +151,7 @@ class TestEdgeTable:
             m.revive(3)
         else:
             m.add_vertex(0.3, 0.7)
-        after = m.edge_table()
+        after = m.edges()
         assert after is not before, f"{mutation} left the edge table cached"
         _assert_table_fresh(m)
         assert len(after.used_vertices(m.num_vertices)) == m.num_vertices
