@@ -18,11 +18,13 @@ Commands
 ``describe`` the simulated machine for a given processor count
 ``paper``   regenerate every experiment table/figure (R-F*/R-T*)
 
-``run --profile`` enables the wall-clock profiler and prints a host-time
-breakdown by simulator subsystem after the run.  ``run --trace [PATH]``
-records structured communication events (simulated time is bit-identical
-with tracing on or off) and optionally exports them; ``--check-sync``
-runs the trace-based synchronization checker on the event stream.
+``run --profile`` runs the simulation under :mod:`cProfile` and prints
+the host time of each ``repro`` module layer after the run, with an
+``(outside repro)`` remainder row; the profiled run executes the same
+code.  ``run --trace [PATH]`` records structured communication events
+(simulated time is bit-identical with tracing on or off) and optionally
+exports them; ``--check-sync`` runs the trace-based synchronization
+checker on the event stream.
 ``run --scenario SPEC`` runs a generated scenario (a ``*.scenario.json``
 path or a scenario class name) under any model, including ``hybrid``.
 
@@ -246,10 +248,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         wl = _resolve_scenario(args.scenario)
     else:
         wl = _workload(app, args.size)
-    if args.profile:
-        from repro.harness.profile import PROFILER
-
-        PROFILER.reset().enable()
     traced = bool(args.trace) or args.check_sync
     faults = None
     if args.faults:
@@ -258,11 +256,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         faults = resolve_profile(args.faults, seed=args.fault_seed)
     derived = {"link_stats": "on"} if args.link_stats else None
     store = _store_from_args(args, default_on=False)
-    result = run_app(
-        app, model, args.nprocs, wl, placement=args.placement, trace=traced,
-        faults=faults, derived=derived, store=store,
-        machine_profile=args.machine_profile,
-    )
+    if args.profile:
+        from repro.sim.profile import PROFILER
+
+        PROFILER.reset().enable()
+    try:
+        result = run_app(
+            app, model, args.nprocs, wl, placement=args.placement, trace=traced,
+            faults=faults, derived=derived, store=store,
+            machine_profile=args.machine_profile,
+        )
+    finally:
+        if args.profile:
+            PROFILER.disable()
     agg = aggregate_breakdown(result)
     what = f"scenario {wl.name}" if app == "scenario" else f"{args.size} workload"
     if args.machine_profile:
@@ -304,9 +310,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("per-link contention (hottest first):")
         print(format_link_contention(links))
     if args.profile:
-        from repro.harness.profile import PROFILER
-
-        PROFILER.disable()
         print()
         print(PROFILER.report())
     _print_store_report(store)
@@ -930,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", "--size", choices=("small", "medium", "large"), default="medium")
     p.add_argument("--placement", default="first-touch")
     p.add_argument("--profile", action="store_true",
-                   help="measure host time per simulator subsystem")
+                   help="profile host time with cProfile and print it per module layer")
     p.add_argument("--trace", nargs="?", const=True, default=None, metavar="PATH",
                    help="record communication events; with PATH, export them "
                         "(.jsonl => JSONL, otherwise Perfetto trace_event JSON)")

@@ -69,7 +69,7 @@ class FaultProfile:
 
     name: str = "none"
     seed: int = 1
-    # -- link faults (evaluated in Network._transfer) ----------------------
+    # -- link faults (evaluated in Network.transfer) ----------------------
     drop_rate: float = 0.0       # per-hop: the message dies in flight
     dup_rate: float = 0.0        # per-transfer: a spurious duplicate follows
     delay_rate: float = 0.0      # per-hop: transient link stall

@@ -11,7 +11,7 @@ configurations.  For the ``"scenario"`` app the config component of that
 signature is the scenario spec's sha256 content hash, so sweep cells
 from two generated scenarios — however similar their knobs — can never
 collide.  The script cache is a bounded LRU (:data:`SCRIPT_CACHE_MAX`
-entries, evictions logged to the host-time profiler), so a long sweep
+entries, evictions counted in ``evictions``), so a long sweep
 cycles it instead of growing without bound.
 
 Beyond the in-process cache sits the serving layer: ``run_app(...,
@@ -29,7 +29,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.models.base import ProgramResult
 from repro.models.registry import run_program
-from repro.sim.profile import PROFILER
 
 __all__ = ["APPS", "SCRIPT_CACHE_MAX", "SweepRow", "run_app", "sweep"]
 
@@ -42,10 +41,9 @@ class _ScriptCache(OrderedDict):
     """Bounded LRU over built adapt scripts.
 
     Reads refresh recency; inserts evict the least-recently-used entry
-    once ``maxsize`` is exceeded, logging each eviction to the host-time
-    profiler (bucket ``script-cache-evict``) so a long sweep that cycles
-    workloads leaves a visible trail instead of silently rebuilding —
-    or silently growing.  The dict surface (``in``, ``[]``, ``get``,
+    once ``maxsize`` is exceeded, counting each one in ``evictions`` so a
+    long sweep that cycles workloads leaves a visible trail instead of
+    silently rebuilding — or silently growing.  The dict surface (``in``, ``[]``, ``get``,
     ``clear``) is unchanged, so callers treat it as a plain cache.
     """
 
@@ -71,7 +69,6 @@ class _ScriptCache(OrderedDict):
         while len(self) > self.maxsize:
             self.popitem(last=False)
             self.evictions += 1
-            PROFILER.add("script-cache-evict", 0.0)
 
 
 _script_cache: Dict[Any, Any] = _ScriptCache()

@@ -42,7 +42,6 @@ bit-identical in simulated nanoseconds and statistics to looping over
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -55,7 +54,6 @@ from repro.machine.sharers import sharer_scheme_from_config
 from repro.machine.stats import MachineStats
 from repro.machine.topology import Topology
 from repro.obs.events import EventLog
-from repro.sim.profile import PROFILER
 
 __all__ = ["Directory", "TRANSACTION_KINDS"]
 
@@ -113,7 +111,6 @@ class Directory:
         )
         self.batch_calls = 0          # transaction_batch invocations
         self.batch_fast_lines = 0     # lines handled by the vectorised path
-        self._prof_cache_s = 0.0
         for cpu, cache in enumerate(caches):
             cache.set_evict_hook(self._make_evict_hook(cpu))
 
@@ -311,10 +308,6 @@ class Directory:
         choices stay exact), or home-memory queueing could not be folded
         analytically; those lines take the scalar :meth:`transaction`.
         """
-        prof = PROFILER.enabled
-        if prof:
-            t0 = time.perf_counter()
-            self._prof_cache_s = 0.0
         lines = np.asarray(lines, dtype=np.int64)
         counts = dict.fromkeys(TRANSACTION_KINDS, 0)
         total = 0.0
@@ -353,10 +346,6 @@ class Directory:
                     lat = 0.0
                 total += lat
             i += scalar_run
-        if prof:
-            dt = time.perf_counter() - t0
-            PROFILER.add("cache", self._prof_cache_s)
-            PROFILER.add("directory", dt - self._prof_cache_s)
         return total, counts
 
     def _fast_block(
@@ -386,12 +375,7 @@ class Directory:
         bit-identical, not merely close.
         """
         cfg = self.config
-        prof = PROFILER.enabled
-        if prof:
-            tc = time.perf_counter()
         eq, resident = cache.probe_batch(seg)
-        if prof:
-            self._prof_cache_s += time.perf_counter() - tc
         owner = self._owner[seg]
         if write:
             srow = self._sharers[seg]
@@ -425,13 +409,9 @@ class Directory:
                 if cut == 0:  # pragma: no cover - dup needs >= 2 lines
                     return 0, total0, 0
         fseg = seg[:cut]
-        if prof:
-            tc = time.perf_counter()
         hit, fill_pos, evict_pos, ev_lines, ev_dirty = cache.access_batch(
             fseg, write, eq=eq[:cut]
         )
-        if prof:
-            self._prof_cache_s += time.perf_counter() - tc
         nf = int(fill_pos.size)
         counts["hit"] += cut - nf
         c = np.zeros(cut)

@@ -22,7 +22,6 @@ from repro.machine.stats import MachineStats
 from repro.machine.topology import build_topology
 from repro.obs.events import EventLog
 from repro.sim.engine import Engine, Process
-from repro.sim.trace import Tracer
 
 __all__ = ["Machine"]
 
@@ -35,8 +34,6 @@ class Machine:
             published Origin2000 numbers at ``nprocs=8``).
         placement: NUMA page-placement policy for the memory system
             (``"first-touch"``, ``"round-robin"``, or a node number).
-        trace: enable the legacy line tracer (``machine.tracer``);
-            structured observability uses ``machine.obs`` instead.
         faults: a fault profile name, :class:`~repro.faults.FaultProfile`,
             or ``None`` (default).  When given and non-inert, the machine's
             fault plane injects seeded link/directory faults and the model
@@ -59,7 +56,6 @@ class Machine:
         self,
         config: Optional[MachineConfig] = None,
         placement: str = "first-touch",
-        trace: bool = False,
         faults: Union[None, str, FaultProfile] = None,
         profile: Union[None, str, MachineProfile] = None,
     ):
@@ -98,7 +94,6 @@ class Machine:
         # two share one list, so conservation holds machine-wide)
         self.directory.link_bytes = self.network.link_bytes
         self.nodes: List[Node] = build_nodes(self.config)
-        self.tracer = Tracer(enabled=trace)
         self._finish_ns: List[Optional[float]] = [None] * self.config.nprocs
         self._procs: List[Optional[Process]] = [None] * self.config.nprocs
 

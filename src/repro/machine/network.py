@@ -38,7 +38,6 @@ from repro.machine.stats import MachineStats
 from repro.machine.topology import Topology
 from repro.obs.events import EventLog
 from repro.sim.engine import Delay, Engine
-from repro.sim.profile import PROFILER, profile_generator
 from repro.sim.resources import Resource
 
 __all__ = ["Network"]
@@ -122,13 +121,6 @@ class Network:
         the fault plane disabled it always returns ``True`` and is
         bit-identical to the fault-free model.
         """
-        if PROFILER.enabled:
-            return profile_generator(
-                "network", self._transfer(src_node, dst_node, nbytes)
-            )
-        return self._transfer(src_node, dst_node, nbytes)
-
-    def _transfer(self, src_node: int, dst_node: int, nbytes: int) -> Generator:
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         self.stats.network_messages += 1
@@ -224,11 +216,10 @@ class Network:
         zero-delay entry a blocked coroutine's wake would take.  Once the
         whole route is held, one arrival timer completes the transfer.
         Returns ``False`` without side effects when the caller must spawn
-        its transfer generator instead: fault injection, or host profiling
-        (so the ``network`` bucket stays truthful).  Either way the
-        simulated timeline is bit-identical.
+        its transfer generator instead, which fault injection needs.
+        Either way the simulated timeline is bit-identical.
         """
-        if self.faults.enabled or PROFILER.enabled:
+        if self.faults.enabled:
             return False
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
@@ -245,7 +236,7 @@ class Network:
         Also the link-wait continuation: a busy link ``k`` queues this
         method with ``wait = (t0, k, queued_at)``, and once the link is
         handed over the claim resumes at link ``k + 1`` — the steps,
-        counters and seqs of ``_transfer``'s per-link ``Resource.acquire``
+        counters and seqs of :meth:`transfer`'s per-link ``Resource.acquire``
         loop.  One entry point for both keeps all of a timer transfer's
         host work inside its three timer legs, where a host-time tracer
         hooking them (``bench/trace.py``) finds it.

@@ -26,7 +26,6 @@ from repro.mesh.refine import (
     hanging_edge_marks,
     refine_cascade,
 )
-from repro.sim.profile import PROFILER
 
 __all__ = ["AdaptationReport", "adapt_phase"]
 
@@ -60,17 +59,6 @@ def adapt_phase(
     the *dissolved+coarsened* mesh; ``coarsen_fn(mesh)`` (optional) returns
     candidate triangle ids evaluated on the dissolved mesh.
     """
-    with PROFILER.section("mesh"):
-        return _adapt_phase(mesh, mark_fn, coarsen_fn, validate, mode)
-
-
-def _adapt_phase(
-    mesh: TriMesh,
-    mark_fn: Callable[[TriMesh], Set[EdgeKey]],
-    coarsen_fn: Optional[Callable[[TriMesh], Set[int]]],
-    validate: bool,
-    mode: str,
-) -> AdaptationReport:
     before = mesh.num_triangles
     greens = len(dissolve_green_families(mesh))
     coarsening = coarsen(mesh, coarsen_fn(mesh)) if coarsen_fn else CoarseningReport()

@@ -23,7 +23,6 @@ from typing import Dict, Set, Tuple
 import numpy as np
 
 from repro.mesh.mesh2d import TriMesh
-from repro.sim.profile import profiled
 
 __all__ = ["CoarseningReport", "coarsen"]
 
@@ -37,7 +36,6 @@ class CoarseningReport:
     families: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
 
-@profiled("mesh")
 def coarsen(mesh: TriMesh, candidates: Set[int]) -> CoarseningReport:
     """Coarsen every family whose children are all in ``candidates``.
 

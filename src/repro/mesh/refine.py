@@ -23,7 +23,6 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 
 from repro.mesh.mesh2d import EdgeKey, TriMesh, edge_set
-from repro.sim.profile import profiled
 
 __all__ = [
     "RefinementReport",
@@ -93,7 +92,6 @@ _CHILDREN[3] = [(0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5)]      # 1:4
 _NUM_CHILDREN = np.array([0, 2, 3, 4])
 
 
-@profiled("mesh")
 def refine(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") -> RefinementReport:
     """Subdivide every alive triangle touched by closed marks ``marked``.
 
@@ -157,7 +155,6 @@ def refine(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") -> Refi
     return report
 
 
-@profiled("mesh")
 def dissolve_green_families(mesh: TriMesh) -> Dict[int, Tuple[int, ...]]:
     """Undo every 1:2 ("green") split, reviving the parents.
 
@@ -200,7 +197,6 @@ def hanging_edge_marks(mesh: TriMesh) -> Set[EdgeKey]:
     return edge_set(mesh.hanging_edges())
 
 
-@profiled("mesh")
 def refine_cascade(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") -> RefinementReport:
     """Refine until no alive triangle holds a whole marked edge.
 

@@ -129,8 +129,5 @@ class BaseContext:
 
     # -- misc ----------------------------------------------------------------------
 
-    def trace(self, kind: str, detail: Any = None) -> None:
-        self.machine.tracer.emit(self.now, f"rank{self.rank}", kind, detail)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} rank={self.rank}/{self.nprocs}>"

@@ -276,7 +276,7 @@ class MpiContext(BaseContext):
                 MpiWorld.deliver,
                 msg,
             ):
-                # faults or host profiling active: spawned generator path
+                # fault injection active: spawned generator path
                 engine.spawn(
                     self._eager_transfer(msg), name=f"mpi-xfer:{self.rank}->{dest}"
                 )

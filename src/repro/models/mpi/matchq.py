@@ -31,13 +31,10 @@ entries it is no faster than the scan.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
-
-from repro.sim.profile import PROFILER
 
 __all__ = ["MatchQueue", "ANY", "DEAD"]
 
@@ -104,15 +101,6 @@ class MatchQueue:
 
     def pop_first(self, src: int, tag: int) -> Optional[Any]:
         """Remove and return the first entry compatible with ``(src, tag)``."""
-        if not PROFILER.enabled:
-            return self._pop_first(src, tag)
-        t0 = time.perf_counter()
-        try:
-            return self._pop_first(src, tag)
-        finally:
-            PROFILER.add("mpi-match", time.perf_counter() - t0)
-
-    def _pop_first(self, src: int, tag: int) -> Optional[Any]:
         items = self._items
         n = len(items)
         h = self._head

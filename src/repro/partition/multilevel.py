@@ -19,7 +19,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.partition.graph import Graph
-from repro.sim.profile import PROFILER
 
 __all__ = ["multilevel", "heavy_edge_matching", "coarsen_graph", "fm_refine"]
 
@@ -228,8 +227,7 @@ def multilevel(graph: Graph, nparts: int, seed: int = 0) -> np.ndarray:
     part = np.zeros(graph.num_vertices, dtype=np.int64)
     if nparts == 1 or graph.num_vertices == 0:
         return part
-    with PROFILER.section("partition"):
-        _recurse(graph, np.arange(graph.num_vertices), 0, nparts, part, seed)
+    _recurse(graph, np.arange(graph.num_vertices), 0, nparts, part, seed)
     return part
 
 

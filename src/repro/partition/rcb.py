@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.partition.graph import Graph
-from repro.sim.profile import PROFILER
 
 __all__ = ["rcb"]
 
@@ -24,10 +23,9 @@ def rcb(graph: Graph, nparts: int) -> np.ndarray:
     part = np.zeros(graph.num_vertices, dtype=np.int64)
     if nparts == 1 or graph.num_vertices == 0:
         return part
-    with PROFILER.section("partition"):
-        _rcb_recurse(
-            graph.coords, graph.vwgt, np.arange(graph.num_vertices), 0, nparts, part
-        )
+    _rcb_recurse(
+        graph.coords, graph.vwgt, np.arange(graph.num_vertices), 0, nparts, part
+    )
     return part
 
 

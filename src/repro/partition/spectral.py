@@ -13,7 +13,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.partition.graph import Graph
-from repro.sim.profile import PROFILER
 
 __all__ = ["spectral", "fiedler_vector"]
 
@@ -49,8 +48,7 @@ def spectral(graph: Graph, nparts: int, seed: int = 7) -> np.ndarray:
     part = np.zeros(graph.num_vertices, dtype=np.int64)
     if nparts == 1 or graph.num_vertices == 0:
         return part
-    with PROFILER.section("partition"):
-        _recurse(graph, np.arange(graph.num_vertices), 0, nparts, part, seed)
+    _recurse(graph, np.arange(graph.num_vertices), 0, nparts, part, seed)
     return part
 
 

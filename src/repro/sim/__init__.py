@@ -19,7 +19,6 @@ from repro.sim.engine import (
     SimError,
 )
 from repro.sim.resources import Channel, Mutex, Resource
-from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -33,6 +32,4 @@ __all__ = [
     "Process",
     "Resource",
     "SimError",
-    "TraceRecord",
-    "Tracer",
 ]

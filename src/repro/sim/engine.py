@@ -404,7 +404,6 @@ class Engine:
         self._procs: List[Process] = []
         self._live: int = 0
         self._error: Optional[BaseException] = None
-        self._trace_hook: Optional[Callable[[float, Process, Any], None]] = None
         # run-loop statistics (the repo benchmark's traced pass reads these)
         self.zero_lane_hits = 0
         self.cohorts_drained = 0
@@ -479,8 +478,6 @@ class Engine:
         self._dispatch(proc, request)
 
     def _dispatch(self, proc: Process, request: Any) -> None:
-        if self._trace_hook is not None:
-            self._trace_hook(self.now, proc, request)
         if type(request) is Delay or isinstance(request, Delay):
             proc._blocked_on = "delay"
             self._schedule(request.ns, proc, None)
@@ -591,11 +588,6 @@ class Engine:
 
     def _run_batched(self, until: Optional[float]) -> None:
         """Cohort drain: zero lane first, then whole same-timestamp cohorts."""
-        from repro.sim.profile import PROFILER
-
-        if PROFILER.enabled:
-            self._run_batched_profiled(until)
-            return
         zero = self._zero
         lane = self._lane
         lheap = lane._heap
@@ -684,63 +676,6 @@ class Engine:
             self.cohorts_drained += cohorts
             self.max_cohort = max_cohort
 
-    def _run_batched_profiled(self, until: Optional[float]) -> None:
-        """The batched drain with host time billed to ``engine-dispatch``.
-
-        Bills the engine's own bookkeeping — lane merges, cohort pops,
-        dispatch — to the :data:`repro.sim.profile.ENGINE_DISPATCH`
-        bucket by subtracting the time spent inside process code
-        (``gen.send`` and callbacks) from the loop total.
-        """
-        from time import perf_counter
-
-        from repro.sim.profile import ENGINE_DISPATCH, PROFILER
-
-        zero = self._zero
-        lane = self._lane
-        overhead = 0.0
-        events = 0
-        t_mark = perf_counter()
-        try:
-            while True:
-                while zero:
-                    proc, value = zero.popleft()
-                    self.zero_lane_hits += 1
-                    events += 1
-                    t0 = perf_counter()
-                    overhead += t0 - t_mark
-                    if proc is None:
-                        fn, args = value
-                        fn(*args)
-                    else:
-                        self._step(proc, value)
-                    t_mark = perf_counter()
-                nxt = lane.peek()
-                if nxt is None:
-                    return
-                t = nxt[0]
-                if until is not None and t > until:
-                    self.now = until
-                    return
-                self.now = t
-                cohort = lane.pop_time(t)
-                self.cohorts_drained += 1
-                if len(cohort) > self.max_cohort:
-                    self.max_cohort = len(cohort)
-                for proc, value in cohort:
-                    events += 1
-                    t0 = perf_counter()
-                    overhead += t0 - t_mark
-                    if proc is None:
-                        fn, args = value
-                        fn(*args)
-                    else:
-                        self._step(proc, value)
-                    t_mark = perf_counter()
-        finally:
-            overhead += perf_counter() - t_mark
-            PROFILER.add(ENGINE_DISPATCH, overhead, calls=events)
-
     # -- introspection ---------------------------------------------------------
 
     def counters(self) -> dict:
@@ -754,7 +689,3 @@ class Engine:
             "lane_bulk_flushes": self._lane.bulk_flushes,
             "lane_heap_flushes": self._lane.heap_flushes,
         }
-
-    def set_trace_hook(self, hook: Optional[Callable[[float, Process, Any], None]]) -> None:
-        """Install a callback invoked on every dispatch (for debugging)."""
-        self._trace_hook = hook

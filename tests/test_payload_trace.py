@@ -1,10 +1,8 @@
-"""Tests for wire-size estimation and the trace buffer."""
+"""Tests for wire-size estimation."""
 
 import numpy as np
-import pytest
 
 from repro.models.payload import nbytes_of
-from repro.sim.trace import TraceRecord, Tracer
 
 
 class TestNbytesOf:
@@ -42,81 +40,3 @@ class TestNbytesOf:
                 self.y = 3
 
         assert nbytes_of(Thing()) == 16 + 16 + 8
-
-
-class TestTracer:
-    def test_disabled_by_default(self):
-        t = Tracer()
-        t.emit(1.0, "a", "send")
-        assert t.records == []
-
-    def test_enabled_records(self):
-        t = Tracer(enabled=True)
-        t.emit(1.0, "rank0", "send", {"bytes": 8})
-        t.emit(2.0, "rank1", "recv")
-        assert len(t.records) == 2
-        assert t.records[0] == TraceRecord(1.0, "rank0", "send", {"bytes": 8})
-
-    def test_filter(self):
-        t = Tracer(enabled=True)
-        t.emit(1.0, "a", "send")
-        t.emit(2.0, "b", "send")
-        t.emit(3.0, "a", "recv")
-        assert len(t.filter(kind="send")) == 2
-        assert len(t.filter(actor="a")) == 2
-        assert len(t.filter(kind="send", actor="a")) == 1
-
-    def test_limit(self):
-        t = Tracer(enabled=True, limit=2)
-        for i in range(5):
-            t.emit(float(i), "a", "x")
-        assert len(t.records) == 2
-
-    def test_limit_keeps_newest_and_counts_dropped(self):
-        t = Tracer(enabled=True, limit=2)
-        for i in range(5):
-            t.emit(float(i), "a", "x")
-        # ring buffer: the two *newest* records survive, the rest are counted
-        assert [r.time_ns for r in t.records] == [3.0, 4.0]
-        assert t.dropped == 3
-
-    def test_summary_reports_dropped(self):
-        t = Tracer(enabled=True, limit=1)
-        t.emit(1.0, "a", "send")
-        t.emit(2.0, "a", "send")
-        t.emit(3.0, "a", "recv")
-        s = t.summary()
-        assert s["dropped"] == 2
-        assert s["recv"] == 1
-
-    def test_clear_resets_dropped(self):
-        t = Tracer(enabled=True, limit=1)
-        t.emit(1.0, "a", "x")
-        t.emit(2.0, "a", "x")
-        assert t.dropped == 1
-        t.clear()
-        assert t.dropped == 0 and t.records == []
-
-    def test_clear(self):
-        t = Tracer(enabled=True)
-        t.emit(1.0, "a", "x")
-        t.clear()
-        assert t.records == []
-
-    def test_context_trace_integration(self):
-        """ctx.trace feeds the machine tracer when enabled."""
-        from repro.machine import Machine, MachineConfig
-        from repro.models.registry import make_contexts
-
-        machine = Machine(MachineConfig(nprocs=2), trace=True)
-        contexts = make_contexts(machine, "mpi")
-
-        def program(ctx):
-            ctx.trace("phase", "start")
-            yield from ctx.compute(10.0)
-            ctx.trace("phase", "end")
-
-        for rank, ctx in enumerate(contexts):
-            machine.spawn_rank(rank, program(ctx))
-        machine.run()
-        assert len(machine.tracer.filter(kind="phase")) == 4

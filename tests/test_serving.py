@@ -287,15 +287,11 @@ class TestSweepServing:
 
 class TestScriptCacheLRU:
     def test_bounded_with_eviction_counter(self):
-        from repro.sim.profile import PROFILER
-
-        ticks_before = PROFILER.calls("script-cache-evict")
         cache = _ScriptCache(maxsize=3)
         for i in range(5):
             cache[f"k{i}"] = i
         assert len(cache) == 3 and cache.evictions == 2
         assert list(cache) == ["k2", "k3", "k4"]  # oldest two evicted
-        assert PROFILER.calls("script-cache-evict") == ticks_before + 2
 
     def test_reads_refresh_recency(self):
         cache = _ScriptCache(maxsize=3)
