@@ -19,6 +19,7 @@ from repro.workloads.plummer import plummer_bodies
 from tests.reference import assert_matches_recording
 
 MODELS = ("mpi", "shmem", "sas")
+ALL_MODELS = (*MODELS, "hybrid")
 
 ADAPT_CFG = AdaptConfig(mesh_n=6, phases=3, solver_iters=4)
 NBODY_CFG = NBodyConfig(n=128, steps=2)
@@ -79,6 +80,12 @@ class TestAdaptCrossModel:
             assert res.rank_results[rank] == pytest.approx(
                 script.reference_checksum, abs=1e-9
             )
+
+    @pytest.mark.parametrize("nprocs", (8, 64))
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_timeline_matches_recording(self, model, nprocs):
+        """A trajectory using all four pair tables replays ``tests/golden/timelines.json``."""
+        assert_matches_recording(f"adapt-coarsen/{model}/{nprocs}")
 
     def test_shmem_cheaper_than_mpi_comm(self, adapt_scripts):
         script = adapt_scripts[4]
@@ -299,6 +306,11 @@ class TestAdapt3D:
             assert res.rank_results[rank] == pytest.approx(
                 script.reference_checksum, abs=1e-9
             )
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_timeline_matches_recording(self, model):
+        """The default 3-D run at P=8 replays ``tests/golden/timelines.json``."""
+        assert_matches_recording(f"adapt3d/{model}/8")
 
     def test_trajectory_is_tetrahedral_scale(self, script3d):
         s = script3d[4]

@@ -38,7 +38,13 @@ Cases:
   send per rank — traced, at P in {8, 64}, with per-link statistics on.
   These rows also carry the SHA-256 of ``Network.link_stats()`` (bytes,
   acquires, claim waits, queued ns and busy ns per link), which pins
-  per-link FIFO queueing.
+  per-link FIFO queueing;
+* ``adapt-coarsen/<model>/<P>``: the adapt application under every model
+  at P in {8, 64}, traced, on the smallest trajectory whose ghost,
+  boundary-mark, migration and coarsening-handoff tables are all
+  non-empty (``mesh_n=8, phases=3``);
+* ``adapt3d/<model>/<P>``: the 3-D application on the default
+  ``Adapt3DConfig`` under every model at P=8, traced.
 
 Re-run only when an intentional simulated-time change lands (and say so
 in the commit):
@@ -69,6 +75,8 @@ NBODY_MODELS = ("mpi", "shmem", "sas")
 NBODY_PROCS = (8, 64)
 CONTENDED_MODELS = ("shmem", "mpi")
 CONTENDED_PROCS = (8, 64)
+ADAPT_COARSEN_PROCS = (8, 64)
+ADAPT3D_PROCS = (8,)
 
 _HALO_TAG = 5
 _FLOOD_TAG = 100
@@ -315,6 +323,8 @@ def cases() -> List[str]:
     names += [f"wildcard-flood/{p}" for p in WILDCARD_PROCS]
     names += [f"nbody-{m}/{p}" for m in NBODY_MODELS for p in NBODY_PROCS]
     names += [f"contended-net/{m}/{p}" for m in CONTENDED_MODELS for p in CONTENDED_PROCS]
+    names += [f"adapt-coarsen/{m}/{p}" for m in MODELS for p in ADAPT_COARSEN_PROCS]
+    names += [f"adapt3d/{m}/{p}" for m in MODELS for p in ADAPT3D_PROCS]
     return names
 
 
@@ -332,7 +342,7 @@ def run_case(name: str, machine: Any = None):
 
     ``machine`` lets a caller inspect fast-path counters after the run.
     """
-    from repro.apps.adapt import ADAPT_PROGRAMS, build_script
+    from repro.apps.adapt import ADAPT_PROGRAMS, AdaptConfig, build_script
     from repro.apps.nbody import NBODY_PROGRAMS
     from repro.models.registry import run_program
 
@@ -342,6 +352,16 @@ def run_case(name: str, machine: Any = None):
         _, model, p = name.split("/")
         program, arg = CONTENDED_PROGRAMS[model]
         return run_program(model, program, int(p), arg, machine=machine, trace=True)
+    if name.startswith(("adapt-coarsen/", "adapt3d/")):
+        kind, model, p = name.split("/")
+        if kind == "adapt3d":
+            from repro.apps.adapt3d import Adapt3DConfig, build_script3d
+
+            script = build_script3d(Adapt3DConfig(), int(p))
+        else:
+            script = build_script(AdaptConfig(mesh_n=8, phases=3, solver_iters=2), int(p))
+        return run_program(model, ADAPT_PROGRAMS[model], int(p), script,
+                           machine=machine, trace=True)
     kind, p = name.split("/")
     if kind == "engine":
         model, p = p.split("-")
