@@ -58,7 +58,7 @@ def adapt_hybrid(ctx, script: AdaptScript) -> Generator:
             )
             for _ in range(plan.mark_rounds):
                 sends, recvs = [], []
-                for (p, q), ids in plan.boundary_marks.items():
+                for (p, q), ids in plan.pairs_of("boundary_marks", me):
                     if p == me:
                         r = yield from mpi.isend(ids, q, tag=TAG_MARKS)
                         sends.append(r)
@@ -73,7 +73,7 @@ def adapt_hybrid(ctx, script: AdaptScript) -> Generator:
                     yield from mpi.waitall(sends + recvs)
             yield from ctx.compute(plan.refined_per_rank[me] * mcfg.mesh_op_ns)
             sends, recvs, rverts = [], [], []
-            for (p, q), verts in plan.coarsen_transfers.items():
+            for (p, q), verts in plan.pairs_of("coarsen_transfers", me):
                 if p == me:
                     r = yield from mpi.isend(u[verts], q, tag=TAG_COARSEN)
                     sends.append(r)
@@ -100,7 +100,7 @@ def adapt_hybrid(ctx, script: AdaptScript) -> Generator:
                 owner_blob = np.zeros(plan.nels, dtype=np.int64)
                 yield from mpi.bcast(owner_blob, root=0)
             sends, recvs = [], []
-            for (p, q), elems in plan.migration_elems.items():
+            for (p, q), elems in plan.pairs_of("migration_elems", me):
                 verts = plan.migration_verts[(p, q)]
                 if p == me:
                     payload = {"elems": elems, "verts": verts, "vals": u[verts]}
@@ -120,21 +120,19 @@ def adapt_hybrid(ctx, script: AdaptScript) -> Generator:
         ctx.phase_begin("solve")
         rows = plan.rows[me]
         # split each direction of the halo by the node map
+        halo = plan.pairs_of("ghost_sends", me)
         msg_sends = sorted(
-            (q, ids) for (p, q), ids in plan.ghost_sends.items()
-            if p == me and not same_node(p, q)
+            (q, ids) for (p, q), ids in halo if p == me and not same_node(p, q)
         )
         msg_recvs = sorted(
-            (p, ids) for (p, q), ids in plan.ghost_sends.items()
-            if q == me and not same_node(p, q)
+            (p, ids) for (p, q), ids in halo if q == me and not same_node(p, q)
         )
         shared_recvs = sorted(
-            (p, ids) for (p, q), ids in plan.ghost_sends.items()
+            (p, ids) for (p, q), ids in halo
             if q == me and p != me and same_node(p, q)
         )
         out_ids = [
-            ids for (p, q), ids in plan.ghost_sends.items()
-            if p == me and q != me and same_node(p, q)
+            ids for (p, q), ids in halo if p == me and q != me and same_node(p, q)
         ]
         shared_out = (
             np.unique(np.concatenate(out_ids)) if out_ids

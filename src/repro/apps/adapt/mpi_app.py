@@ -46,7 +46,7 @@ def adapt_mpi(ctx, script: AdaptScript) -> Generator:
             # agree on boundary-edge marks: one exchange per cascade round
             for rnd in range(plan.mark_rounds):
                 sends, recvs = [], []
-                for (p, q), ids in plan.boundary_marks.items():
+                for (p, q), ids in plan.pairs_of("boundary_marks", me):
                     if p == me:
                         r = yield from ctx.isend(ids, q, tag=TAG_MARKS)
                         sends.append(r)
@@ -64,7 +64,7 @@ def adapt_mpi(ctx, script: AdaptScript) -> Generator:
             # coarsening handoff: a merged family's new owner collects the
             # vertex values its former co-owners held
             sends, recvs, rverts = [], [], []
-            for (p, q), verts in plan.coarsen_transfers.items():
+            for (p, q), verts in plan.pairs_of("coarsen_transfers", me):
                 if p == me:
                     r = yield from ctx.isend(u[verts], q, tag=TAG_COARSEN)
                     sends.append(r)
@@ -96,7 +96,7 @@ def adapt_mpi(ctx, script: AdaptScript) -> Generator:
                 yield from ctx.bcast(owner_blob, root=0)
             # migrate element payloads (connectivity + state + vertex values)
             sends, recvs = [], []
-            for (p, q), elems in plan.migration_elems.items():
+            for (p, q), elems in plan.pairs_of("migration_elems", me):
                 verts = plan.migration_verts[(p, q)]
                 if p == me:
                     payload = {"elems": elems, "verts": verts, "vals": u[verts]}
@@ -115,12 +115,9 @@ def adapt_mpi(ctx, script: AdaptScript) -> Generator:
         # ---------------- solve ----------------
         ctx.phase_begin("solve")
         rows = plan.rows[me]
-        my_sends = sorted(
-            (q, ids) for (p, q), ids in plan.ghost_sends.items() if p == me
-        )
-        my_recvs = sorted(
-            (p, ids) for (p, q), ids in plan.ghost_sends.items() if q == me
-        )
+        halo = plan.pairs_of("ghost_sends", me)
+        my_sends = sorted((q, ids) for (p, q), ids in halo if p == me)
+        my_recvs = sorted((p, ids) for (p, q), ids in halo if q == me)
 
         def halo_exchange():
             """Send my fresh owned values out, pull ghost updates in."""

@@ -59,7 +59,7 @@ def adapt_sas(ctx, script: AdaptScript, reorder: bool = True) -> Generator:
     marks = ctx.shalloc("marks", (cap,), np.int64)
     owner_arr = ctx.shalloc("owner", (cap,), np.int64)
 
-    slots, size = _layout(script.phases[0], cap, line_elems, reorder)
+    slots, size = script.phases[0].once(_layout, cap, line_elems, reorder)
     bufs = [
         ctx.shalloc("u0_a", (size,), np.float64),
         ctx.shalloc("u0_b", (size,), np.float64),
@@ -91,8 +91,8 @@ def adapt_sas(ctx, script: AdaptScript, reorder: bool = True) -> Generator:
                 )
             yield from ctx.barrier()
             for _ in range(plan.mark_rounds):
-                for (p, q), ids in plan.boundary_marks.items():
-                    if me in (p, q) and len(ids):
+                for _, ids in plan.pairs_of("boundary_marks", me):
+                    if len(ids):
                         yield from ctx.stouch_idx(marks, ids % cap, write=False)
                 yield from ctx.barrier()
             # refine my elements: structural updates to the shared mesh
@@ -102,7 +102,7 @@ def adapt_sas(ctx, script: AdaptScript, reorder: bool = True) -> Generator:
             # are copied (through the coherence protocol) from wherever the
             # old layout kept them, then new vertices are interpolated
             old_bufs, old_slots = bufs, slots
-            slots, size = _layout(plan, cap, line_elems, reorder)
+            slots, size = plan.once(_layout, cap, line_elems, reorder)
             bufs = [
                 ctx.shalloc(f"u{k}_a", (size,), np.float64),
                 ctx.shalloc(f"u{k}_b", (size,), np.float64),

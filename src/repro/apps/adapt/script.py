@@ -10,12 +10,18 @@ ranks and paying their model's communication costs with real payloads.
 
 The script also carries the *sequential reference checksum* so every model
 implementation can be verified to produce the identical solution.
+
+A plan is read-only once built, and every rank of every model program
+reads the same one.  What the ranks would otherwise each re-derive from
+the global tables — each rank's own entries of a pair table
+(:meth:`PhasePlan.pairs_of`), a model's slot layout — is computed once
+per plan through :meth:`PhasePlan.once` and shared by all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -42,7 +48,12 @@ Pair = Tuple[int, int]
 
 @dataclass
 class PhasePlan:
-    """One phase of the trajectory: transition into it + its solve."""
+    """One phase of the trajectory: transition into it + its solve.
+
+    Read-only once built.  :meth:`once` memoises values derived from the
+    plan and :meth:`pairs_of` gives each rank its own entries of a pair
+    table; both are built on first use and shared by all ranks.
+    """
 
     index: int
     nverts: int
@@ -71,9 +82,48 @@ class PhasePlan:
     imbalance_after: float = 1.0
     repartition_elements: int = 0
 
-    def comm_pairs(self) -> List[Pair]:
-        """All (src, dst) halo pairs of this phase's decomposition."""
-        return sorted(self.ghost_sends)
+    def once(self, fn: Callable[..., Any], *args) -> Any:
+        """``fn(self, *args)``, computed on the first call and shared after.
+
+        The memo lives in the instance ``__dict__``, not in a dataclass
+        field, so equality, ``repr`` and field digests see only the
+        trajectory.  Arrays in the result are made read-only.
+        """
+        memo = self.__dict__.setdefault("_once", {})
+        key = (fn, args)
+        if key not in memo:
+            memo[key] = _read_only(fn(self, *args))
+        return memo[key]
+
+    def pairs_of(self, table: str, rank: int) -> Tuple[Tuple[Pair, np.ndarray], ...]:
+        """The ``(pair, value)`` entries of pair table ``table`` that involve ``rank``.
+
+        ``table`` names a ``Pair``-keyed field (``"ghost_sends"``, ...);
+        the entries with ``rank`` as src or dst come in the table's own
+        iteration order.
+        """
+        return self.once(_pairs_by_rank, table)[rank]
+
+
+def _pairs_by_rank(plan: PhasePlan, table: str) -> Tuple[Tuple[Tuple[Pair, np.ndarray], ...], ...]:
+    """Every rank's entries of one pair table, from a single pass over it."""
+    views: List[List[Tuple[Pair, np.ndarray]]] = [[] for _ in plan.rows]
+    for pair, value in getattr(plan, table).items():
+        p, q = pair
+        views[p].append((pair, value))
+        if q != p:
+            views[q].append((pair, value))
+    return tuple(map(tuple, views))
+
+
+def _read_only(value: Any) -> Any:
+    """``value`` with every array in it (through tuples and lists) write-protected."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    return value
 
 
 @dataclass

@@ -13,7 +13,7 @@ from typing import Dict, Generator, Tuple
 
 import numpy as np
 
-from repro.apps.adapt.script import AdaptScript
+from repro.apps.adapt.script import AdaptScript, PhasePlan
 from repro.solver.kernels import jacobi_sweep, residual_norm
 
 __all__ = ["adapt_shmem"]
@@ -22,15 +22,21 @@ _MARK_FLOPS = 6
 _INTERP_FLOPS = 4
 
 
-def _slot_layout(pairs, key_rank) -> Tuple[Dict, int]:
-    """Assign each incoming pair a disjoint slot in a staging buffer."""
+def _slot_layout(plan: PhasePlan, table: str) -> Tuple[Dict, int]:
+    """Assign each pair of a plan's pair table a disjoint slot in a staging buffer."""
     offsets: Dict = {}
     total = 0
-    for (p, q), ids in sorted(pairs.items()):
-        if key_rank(p, q) is not None:
-            offsets[(p, q)] = total
-            total += len(ids)
+    for pair, ids in sorted(getattr(plan, table).items()):
+        offsets[pair] = total
+        total += len(ids)
     return offsets, total
+
+
+def _mark_slots(plan: PhasePlan) -> Tuple[Dict, int]:
+    """Equal-stride slots for the boundary-mark pairs; returns (slot_of, size)."""
+    stride = max(max((len(v) for v in plan.boundary_marks.values()), default=0), 1)
+    slot_of = {pair: i * stride for i, pair in enumerate(sorted(plan.boundary_marks))}
+    return slot_of, max(len(plan.boundary_marks), 1) * stride
 
 
 def adapt_shmem(ctx, script: AdaptScript) -> Generator:
@@ -50,15 +56,10 @@ def adapt_shmem(ctx, script: AdaptScript) -> Generator:
             )
             # boundary-mark agreement: put my marked ids into a symmetric
             # staging buffer on each neighbour, barrier, read
-            mark_in = {
-                pair: ids for pair, ids in plan.boundary_marks.items() if me in pair
-            }
-            slot_size = max((len(v) for v in plan.boundary_marks.values()), default=0)
-            nslots = max(len(plan.boundary_marks), 1)
-            stage = ctx.salloc(f"marks{k}", (nslots * max(slot_size, 1),), np.int64)
-            slot_of = {pair: i * max(slot_size, 1) for i, pair in enumerate(sorted(plan.boundary_marks))}
+            slot_of, stage_size = plan.once(_mark_slots)
+            stage = ctx.salloc(f"marks{k}", (stage_size,), np.int64)
             for _ in range(plan.mark_rounds):
-                for pair, ids in mark_in.items():
+                for pair, ids in plan.pairs_of("boundary_marks", me):
                     other = pair[1] if pair[0] == me else pair[0]
                     if len(ids):
                         yield from ctx.put(stage, other, ids, offset=slot_of[pair])
@@ -67,16 +68,15 @@ def adapt_shmem(ctx, script: AdaptScript) -> Generator:
             # coarsening handoff: put the vertex values my merged children
             # held into the new parent owner's staging buffer
             if plan.coarsen_transfers:
-                co_offsets, co_total = _slot_layout(
-                    plan.coarsen_transfers, lambda p, q: q
-                )
+                co_offsets, co_total = plan.once(_slot_layout, "coarsen_transfers")
                 co_stage = ctx.salloc(f"coarsen{k}", (max(co_total, 1),), np.float64)
-                for (p, q), verts in sorted(plan.coarsen_transfers.items()):
+                my_co = sorted(plan.pairs_of("coarsen_transfers", me))
+                for (p, q), verts in my_co:
                     if p == me:
                         yield from ctx.put(co_stage, q, u[verts], offset=co_offsets[(p, q)])
                 yield from ctx.barrier_all()
                 mine_co = co_stage.local(me)
-                for (p, q), verts in sorted(plan.coarsen_transfers.items()):
+                for (p, q), verts in my_co:
                     if q == me:
                         off = co_offsets[(p, q)]
                         u[verts] = mine_co[off : off + len(verts)]
@@ -96,17 +96,12 @@ def adapt_shmem(ctx, script: AdaptScript) -> Generator:
                 yield from ctx.broadcast(np.zeros(plan.nels, dtype=np.int64), root=0)
             # migrate: put departing elements' vertex values into the new
             # owner's staging buffer (both sides know the layout)
-            mig_out = {
-                pair: elems for pair, elems in plan.migration_elems.items() if pair[0] == me
-            }
+            my_mig = plan.pairs_of("migration_elems", me)
+            mig_out = {pair: elems for pair, elems in my_mig if pair[0] == me}
             mig_in = {
-                pair: plan.migration_verts[pair]
-                for pair in plan.migration_elems
-                if pair[1] == me
+                pair: plan.migration_verts[pair] for pair, _ in my_mig if pair[1] == me
             }
-            in_offsets, in_total = _slot_layout(
-                plan.migration_verts, lambda p, q: q
-            )
+            in_offsets, in_total = plan.once(_slot_layout, "migration_verts")
             stage_v = ctx.salloc(f"mig{k}", (max(in_total, 1),), np.float64)
             for pair, elems in sorted(mig_out.items()):
                 verts = plan.migration_verts[pair]
@@ -122,14 +117,11 @@ def adapt_shmem(ctx, script: AdaptScript) -> Generator:
         # ---------------- solve ----------------
         ctx.phase_begin("solve")
         rows = plan.rows[me]
-        in_offsets, in_total = _slot_layout(plan.ghost_sends, lambda p, q: q)
+        in_offsets, in_total = plan.once(_slot_layout, "ghost_sends")
         halo = ctx.salloc(f"halo{k}", (max(in_total, 1),), np.float64)
-        my_puts = sorted(
-            (q, ids) for (p, q), ids in plan.ghost_sends.items() if p == me
-        )
-        my_gets = sorted(
-            (p, ids) for (p, q), ids in plan.ghost_sends.items() if q == me
-        )
+        my_halo = plan.pairs_of("ghost_sends", me)
+        my_puts = sorted((q, ids) for (p, q), ids in my_halo if p == me)
+        my_gets = sorted((p, ids) for (p, q), ids in my_halo if q == me)
 
         def halo_exchange():
             """Put my fresh boundary values into each neighbour's slots."""
