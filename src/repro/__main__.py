@@ -35,10 +35,13 @@ NAME`` to run on a different machine (``repro profiles list``);
 collects per-link contention counters and prints the hottest links.
 
 Serving (see ``docs/serving.md``): the sweep-shaped commands (``sweep``,
-``bench-faults``, ``bench-scenarios``, ``serve``) consult the
-content-addressed result store by default — ``--no-cache`` opts out,
-``--cache-dir`` relocates it, ``-j/--jobs N`` shards uncached cells over
-N worker processes.  ``run`` opts *in* with ``--serve``.
+``bench-faults``, ``bench-scenarios``, ``bench-profiles``, ``serve``)
+consult the content-addressed result store by default — ``--no-cache``
+opts out, ``--cache-dir`` relocates it, ``-j/--jobs N`` shards uncached
+cells over N worker processes.  ``run`` opts *in* with ``--serve``.
+
+Every sweep command checks its ``-m`` list before any cell runs.  Flags
+several commands share are declared once, in ``_SHARED_FLAGS``.
 """
 
 from __future__ import annotations
@@ -46,7 +49,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.harness import ascii_chart, effort_table, format_table, run_app, sweep
+from repro.harness import (
+    ascii_chart,
+    check_models,
+    effort_table,
+    format_table,
+    run_app,
+    sweep,
+    write_record,
+)
 from repro.harness.breakdown import aggregate_breakdown, comm_stats_rows
 from repro.harness.tables import format_dict_table
 from repro.machine import Machine, MachineConfig
@@ -54,7 +65,6 @@ from repro.machine import Machine, MachineConfig
 _MODELS = ("mpi", "shmem", "sas")
 _ALL_MODELS = ("mpi", "shmem", "sas", "hybrid")
 _APPS = ("adapt", "adapt3d", "nbody", "jacobi")
-_DEFAULT_CLASSES = "multi_front,refinement_storm,imbalance_wave,hotspot_drift"
 
 #: hypercube depth ceiling: 128 CPUs = 32 routers = a dimension-5 cube
 _MAX_NPROCS = 128
@@ -195,21 +205,6 @@ def _store_from_args(args: argparse.Namespace, default_on: bool):
 def _print_store_report(store) -> None:
     if store is not None:
         print(f"  {store.report_line()}")
-
-
-def _check_hit_rate(store, min_hit_rate: float) -> int:
-    """CI gate: fail when the session's serving ratio is below the floor."""
-    if store is None or min_hit_rate <= 0:
-        return 0
-    if store.hit_rate < min_hit_rate:
-        print(
-            f"ERROR: store hit rate {100 * store.hit_rate:.0f}% below the "
-            f"required {100 * min_hit_rate:.0f}% "
-            f"({store.hits}/{store.lookups} lookups served)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -384,25 +379,40 @@ def cmd_comm_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_faults(args: argparse.Namespace) -> int:
-    from repro.harness.faultbench import (
-        format_fault_bench,
-        run_fault_bench,
-        write_fault_bench_json,
-    )
+def _finish_bench(args: argparse.Namespace, store, record, text: str, error) -> int:
+    """The bench commands' shared tail: print, write, then the gates.
 
-    store = _store_from_args(args, default_on=True)
-    profile = args.profile
-    models = args.models
+    ``error`` is the command's own gate failure (``None`` when it
+    passes); the ``--min-hit-rate`` serving floor is checked after it.
+    """
+    print(text)
+    _print_store_report(store)
+    print(f"  wrote {write_record(record, args.output)}")
+    floor = args.min_hit_rate
+    if not error and store is not None and 0 < floor and store.hit_rate < floor:
+        error = (f"store hit rate {100 * store.hit_rate:.0f}% below the required "
+                 f"{100 * floor:.0f}% ({store.hits}/{store.lookups} lookups served)")
+    if error:
+        print(f"ERROR: {error}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def cmd_bench_faults(args: argparse.Namespace) -> int:
+    from repro.harness import format_fault_bench, run_fault_bench
+
+    profile, models = args.profile, args.models
     if args.correlated:
         # correlated mode defaults to the burst preset and adds hybrid
         if profile == "lossy":
             profile = "bursty-links"
-        if models == "mpi,shmem,sas":
-            models = "mpi,shmem,sas,hybrid"
+        if models == ",".join(_MODELS):
+            models += ",hybrid"
+    models = check_models(args.app, models.split(","))
+    store = _store_from_args(args, default_on=True)
     record = run_fault_bench(
         app=args.app,
-        models=tuple(models.split(",")),
+        models=models,
         nprocs_list=_check_procs_list(args.procs),
         profile=profile,
         seed=args.seed,
@@ -413,32 +423,19 @@ def cmd_bench_faults(args: argparse.Namespace) -> int:
         machine_profile=args.machine_profile,
         correlated=args.correlated,
     )
-    print(format_fault_bench(record))
-    _print_store_report(store)
-    path = write_fault_bench_json(record, args.output)
-    print(f"  wrote {path}")
-    if args.require_retries:
-        lacking = [
-            f"{r['model']} P={r['nprocs']}"
-            for r in record["rows"]
-            if r["nprocs"] > 1 and r["retries"] == 0
-        ]
-        if lacking:
-            print(
-                f"ERROR: no recoveries exercised for: {', '.join(lacking)}",
-                file=sys.stderr,
-            )
-            return 1
-    if args.require_recovery > 0:
-        best = record.get("correlated", {}).get("best_recovered_pct", 0.0)
-        if best < args.require_recovery:
-            print(
-                f"ERROR: best fault-aware recovery {best:.1f}% below the "
-                f"required {args.require_recovery:.1f}%",
-                file=sys.stderr,
-            )
-            return 1
-    return _check_hit_rate(store, args.min_hit_rate)
+    lacking = [
+        f"{r['model']} P={r['nprocs']}"
+        for r in record["rows"]
+        if r["nprocs"] > 1 and r["retries"] == 0
+    ]
+    best = record.get("correlated", {}).get("best_recovered_pct", 0.0)
+    error = None
+    if args.require_retries and lacking:
+        error = f"no recoveries exercised for: {', '.join(lacking)}"
+    elif args.require_recovery > 0 and best < args.require_recovery:
+        error = (f"best fault-aware recovery {best:.1f}% below the "
+                 f"required {args.require_recovery:.1f}%")
+    return _finish_bench(args, store, record, format_fault_bench(record), error)
 
 
 def _parse_knobs(pairs) -> dict:
@@ -536,11 +533,7 @@ def cmd_scenarios_list(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_scenarios(args: argparse.Namespace) -> int:
-    from repro.harness.scenariobench import (
-        format_scenario_bench,
-        run_scenario_bench,
-        write_scenario_bench_json,
-    )
+    from repro.harness import format_rank_sweep, run_scenario_bench
 
     try:
         intensities = [float(x) for x in args.intensities.split(",") if x.strip()]
@@ -548,10 +541,11 @@ def cmd_bench_scenarios(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"error: invalid intensity list {args.intensities!r}"
         ) from None
+    models = check_models("scenario", args.models.split(","))
     store = _store_from_args(args, default_on=True)
     record = run_scenario_bench(
         classes=tuple(args.classes.split(",")),
-        models=tuple(args.models.split(",")),
+        models=models,
         nprocs_list=_check_procs_list(args.procs),
         intensities=intensities,
         seed=args.seed,
@@ -563,31 +557,21 @@ def cmd_bench_scenarios(args: argparse.Namespace) -> int:
         store=store,
         jobs=args.jobs,
     )
-    print(format_scenario_bench(record))
-    _print_store_report(store)
-    path = write_scenario_bench_json(record, args.output)
-    print(f"  wrote {path}")
+    error = None
     if args.require_report and not record["flips"]:
-        print(
-            "ERROR: the sweep found no ranking flips — the flip report is "
-            "empty (widen the P or intensity range)",
-            file=sys.stderr,
-        )
-        return 1
-    return _check_hit_rate(store, args.min_hit_rate)
+        error = ("the sweep found no ranking flips — the flip report is "
+                 "empty (widen the P or intensity range)")
+    return _finish_bench(args, store, record, format_rank_sweep(record), error)
 
 
 def cmd_bench_profiles(args: argparse.Namespace) -> int:
-    from repro.harness.profilebench import (
-        format_profile_bench,
-        run_profile_bench,
-        write_profile_bench_json,
-    )
+    from repro.harness import format_rank_sweep, run_profile_bench
 
+    models = check_models("scenario", args.models.split(","))
     store = _store_from_args(args, default_on=True)
     record = run_profile_bench(
         profiles=tuple(args.profiles.split(",")),
-        models=tuple(args.models.split(",")),
+        models=models,
         nprocs_list=_check_procs_list(args.procs),
         scenario_class=args.scenario_class,
         intensity=args.intensity,
@@ -599,18 +583,11 @@ def cmd_bench_profiles(args: argparse.Namespace) -> int:
         store=store,
         jobs=args.jobs,
     )
-    print(format_profile_bench(record))
-    _print_store_report(store)
-    path = write_profile_bench_json(record, args.output)
-    print(f"  wrote {path}")
+    error = None
     if args.require_flip and not record["best_flips"]:
-        print(
-            "ERROR: no hardware profile changed the best model — the "
-            "cross-hardware flip report is empty (add profiles or widen P)",
-            file=sys.stderr,
-        )
-        return 1
-    return _check_hit_rate(store, args.min_hit_rate)
+        error = ("no hardware profile changed the best model — the "
+                 "cross-hardware flip report is empty (add profiles or widen P)")
+    return _finish_bench(args, store, record, format_rank_sweep(record), error)
 
 
 def cmd_profiles_list(args: argparse.Namespace) -> int:
@@ -632,9 +609,10 @@ def cmd_profiles_describe(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     wl = _workload(args.app, args.size)
     plist = _check_procs_list(args.procs)
+    models = check_models(args.app, args.models.split(","))
     store = _store_from_args(args, default_on=True)
     rows = sweep(
-        args.app, models=args.models.split(","), nprocs_list=plist, workload=wl,
+        args.app, models=models, nprocs_list=plist, workload=wl,
         store=store, jobs=args.jobs, machine_profile=args.machine_profile,
     )
     title = f"{args.app} ({args.size}) sweep"
@@ -873,6 +851,67 @@ def cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
+#: flags several commands share, declared once: name -> (option strings,
+#: ``add_argument`` keywords); a command overrides a default with
+#: ``set_defaults``
+_SHARED_FLAGS = {
+    "procs": (("-p", "--procs"), {
+        "help": "comma-separated processor counts (powers of two)"}),
+    "models": (("-m", "--models"), {
+        "default": ",".join(_MODELS), "help": "comma-separated programming models"}),
+    "size": (("-s", "--size"), {
+        "choices": ("small", "medium", "large"), "default": "small"}),
+    "seed": (("--seed",), {
+        "type": int, "default": None,
+        "help": "scenario generator seed (bench-faults: overrides the "
+                "fault profile's seed)"}),
+    "mesh_n": (("--mesh-n",), {"type": int, "default": 8}),
+    "phases": (("--phases",), {"type": int, "default": 4}),
+    "solver_iters": (("--solver-iters",), {"type": int, "default": 6}),
+    "placement": (("--placement",), {"default": "first-touch"}),
+    "machine_profile": (("--machine-profile",), {
+        "default": None, "metavar": "NAME",
+        "help": "run on a named hardware profile "
+                "(see `repro profiles list`; default: Origin2000)"}),
+    "output": (("-o", "--output"), {
+        "default": None, "metavar": "PATH",
+        "help": "record path (default: the command's BENCH_*.json)"}),
+    "min_hit_rate": (("--min-hit-rate",), {
+        "type": float, "default": 0.0, "metavar": "RATE",
+        "help": "fail when the store hit rate is below RATE (warm-cache CI gate)"}),
+    "cache_dir": (("--cache-dir",), {
+        "default": None, "metavar": "DIR",
+        "help": "result-store root (default: $REPRO_CACHE_DIR or ./.repro-cache)"}),
+    "no_cache": (("--no-cache",), {
+        "action": "store_true",
+        "help": "bypass the result store: compute every cell live"}),
+    "serve": (("--serve",), {
+        "action": "store_true",
+        "help": "consult the content-addressed result store"}),
+    "jobs": (("-j", "--jobs"), {
+        "type": int, "default": 1,
+        "help": "shard uncached cells over N worker processes"}),
+}
+
+#: the flags of every sweep-shaped command, and of every bench record
+_SWEEP_FLAGS = ("procs", "models", "cache_dir", "no_cache", "jobs")
+_BENCH_FLAGS = _SWEEP_FLAGS + ("output", "min_hit_rate")
+_SCENARIO_FLAGS = ("seed", "mesh_n", "phases", "solver_iters")
+
+
+def _flags(*names: str) -> argparse.ArgumentParser:
+    """A parent parser declaring the named :data:`_SHARED_FLAGS`.
+
+    Built fresh for each command, so one command's ``set_defaults``
+    never reaches another command's copy of a flag.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        opts, kwargs = _SHARED_FLAGS[name]
+        parent.add_argument(*opts, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full ``repro`` argument parser.
 
@@ -880,30 +919,12 @@ def build_parser() -> argparse.ArgumentParser:
     check_docs.py``) can introspect the real subcommands and option
     strings and fail on stale CLI invocations in the docs.
     """
+    from repro.harness.rankings import DEFAULT_CLASSES, DEFAULT_PROFILES
+
     parser = argparse.ArgumentParser(
         prog="repro", description="Origin2000 three-programming-models reproduction"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def _add_serving(p, default_on, jobs=True):
-        """The serving-layer flags (see docs/serving.md)."""
-        p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="result-store root (default: $REPRO_CACHE_DIR "
-                            "or ./.repro-cache)")
-        if default_on:
-            p.add_argument("--no-cache", action="store_true",
-                           help="bypass the result store: compute every cell live")
-        else:
-            p.add_argument("--serve", action="store_true",
-                           help="consult the content-addressed result store")
-        if jobs:
-            p.add_argument("-j", "--jobs", type=int, default=1,
-                           help="shard uncached cells over N worker processes")
-
-    def _add_machine_profile(p):
-        p.add_argument("--machine-profile", default=None, metavar="NAME",
-                       help="run on a named hardware profile "
-                            "(see `repro profiles list`; default: Origin2000)")
 
     def _add_app_model(p, need_model=True):
         """app/model as positionals or flags (``run adapt mpi`` == ``run --app adapt --model mpi``)."""
@@ -917,7 +938,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=argparse.SUPPRESS if need_model else "restrict to one model")
         p.add_argument("-n", "-p", "--nprocs", type=int, default=8)
 
-    p = sub.add_parser("run", help="run one configuration")
+    p = sub.add_parser("run", help="run one configuration", parents=[_flags(
+        "size", "placement", "machine_profile", "cache_dir", "serve")])
     # free-form app/model: cmd_run validates with a helpful list (the app
     # slot must also accept 'scenario' and, with --scenario, a model name)
     p.add_argument("app_pos", nargs="?", metavar="app",
@@ -930,8 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default=None, metavar="SPEC",
                    help="run a generated scenario: a *.scenario.json path or a "
                         "scenario class name (implies app 'scenario')")
-    p.add_argument("-s", "--size", choices=("small", "medium", "large"), default="medium")
-    p.add_argument("--placement", default="first-touch")
     p.add_argument("--profile", action="store_true",
                    help="profile host time with cProfile and print it per module layer")
     p.add_argument("--trace", nargs="?", const=True, default=None, metavar="PATH",
@@ -951,13 +971,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--link-stats", action="store_true",
                    help="collect per-link contention counters and print the "
                         "hottest links (simulated time is unchanged)")
-    _add_machine_profile(p)
-    _add_serving(p, default_on=False, jobs=False)
-    p.set_defaults(fn=cmd_run)
+    p.set_defaults(fn=cmd_run, size="medium")
 
-    p = sub.add_parser("trace", help="traced run: event summary + export")
+    p = sub.add_parser("trace", help="traced run: event summary + export",
+                       parents=[_flags("size")])
     _add_app_model(p)
-    p.add_argument("-s", "--size", choices=("small", "medium", "large"), default="small")
     p.add_argument("-o", "--output", default=None, metavar="PATH",
                    help="export the trace (.jsonl => JSONL, else Perfetto JSON)")
     p.add_argument("--phases", action="store_true",
@@ -966,43 +984,34 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the trace-based synchronization checker")
     p.set_defaults(fn=cmd_trace)
 
-    p = sub.add_parser("comm-matrix", help="per-pair communication matrices")
+    p = sub.add_parser("comm-matrix", help="per-pair communication matrices",
+                       parents=[_flags("size")])
     _add_app_model(p, need_model=False)
-    p.add_argument("-s", "--size", choices=("small", "medium", "large"), default="small")
     p.add_argument("--units", choices=("bytes", "messages"), default="bytes")
     p.set_defaults(fn=cmd_comm_matrix)
 
-    p = sub.add_parser("sweep", help="app x model x P sweep")
+    p = sub.add_parser("sweep", help="app x model x P sweep", parents=[_flags(
+        *_SWEEP_FLAGS, "size", "machine_profile")])
     p.add_argument("app", choices=_APPS)
-    p.add_argument("-p", "--procs", default="1,2,4,8")
-    p.add_argument("-m", "--models", default="mpi,shmem,sas")
-    p.add_argument("-s", "--size", choices=("small", "medium", "large"), default="small")
-    _add_machine_profile(p)
-    _add_serving(p, default_on=True)
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, procs="1,2,4,8")
 
-    p = sub.add_parser("micro", help="machine latency microbenchmarks")
+    p = sub.add_parser("micro", help="machine latency microbenchmarks",
+                       parents=[_flags("machine_profile")])
     p.add_argument("-n", "--nprocs", type=int, default=16)
-    _add_machine_profile(p)
     p.set_defaults(fn=cmd_micro)
 
     p = sub.add_parser("bench-faults",
-                       help="per-model fault-recovery overhead benchmark")
+                       help="per-model fault-recovery overhead benchmark",
+                       parents=[_flags(*_BENCH_FLAGS, "size", "seed", "machine_profile")])
     p.add_argument("--app", choices=_APPS, default="adapt")
-    p.add_argument("-s", "--size", choices=("small", "medium", "large"), default="small")
-    p.add_argument("-p", "--procs", default="1,4,8")
-    p.add_argument("-m", "--models", default="mpi,shmem,sas")
     p.add_argument("--profile", default="lossy",
                    help="fault profile (drizzle, lossy, stress, nacky, "
                         "flaky-links, bursty-links, bursty-router, bursty-dir, "
                         "or a gilbert:k=v,... spec)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the profile's seed")
     p.add_argument("--correlated", action="store_true",
                    help="three-arm correlated-burst comparison: fault-free, "
                         "fault-blind, and fault-aware PLUM (defaults the "
                         "profile to bursty-links and adds hybrid to -m)")
-    p.add_argument("-o", "--output", default=None, help="BENCH_FAULTS.json path")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the determinism double-run of each faulted config")
     p.add_argument("--require-retries", action="store_true",
@@ -1010,61 +1019,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require-recovery", type=float, default=0.0, metavar="PCT",
                    help="with --correlated: fail unless some (model, P) cell "
                         "recovers at least PCT%% of the fault-blind penalty (CI)")
-    p.add_argument("--min-hit-rate", type=float, default=0.0, metavar="RATE",
-                   help="fail when the store hit rate is below RATE (CI warm pass)")
-    _add_machine_profile(p)
-    _add_serving(p, default_on=True)
-    p.set_defaults(fn=cmd_bench_faults)
+    p.set_defaults(fn=cmd_bench_faults, procs="1,4,8")
 
     p = sub.add_parser("bench-scenarios",
-                       help="model x P x scenario-class ranking-flip sweep")
-    p.add_argument("-p", "--procs", default="2,8,32")
-    p.add_argument("-m", "--models", default="mpi,shmem,sas")
-    p.add_argument("--classes", default=_DEFAULT_CLASSES,
+                       help="model x P x scenario-class ranking-flip sweep",
+                       parents=[_flags(*_BENCH_FLAGS, *_SCENARIO_FLAGS, "placement")])
+    p.add_argument("--classes", default=",".join(DEFAULT_CLASSES),
                    help="comma-separated scenario classes")
     p.add_argument("--intensities", default="0.2,1.0",
                    help="comma-separated intensity knob settings (a sweep axis)")
-    p.add_argument("--seed", type=int, default=7,
-                   help="generator seed shared by every spec of the sweep")
-    p.add_argument("--mesh-n", type=int, default=8)
-    p.add_argument("--phases", type=int, default=4)
-    p.add_argument("--solver-iters", type=int, default=6)
-    p.add_argument("--placement", default="first-touch")
     p.add_argument("--no-insights", action="store_true",
                    help="skip the per-spec trajectory characterisation")
-    p.add_argument("-o", "--output", default=None, help="BENCH_SCENARIOS.json path")
     p.add_argument("--require-report", action="store_true",
                    help="fail unless the sweep finds ranking flips (CI)")
-    p.add_argument("--min-hit-rate", type=float, default=0.0,
-                   help="fail unless this fraction of lookups is served "
-                        "from the store (warm-cache CI gate)")
-    _add_serving(p, default_on=True)
-    p.set_defaults(fn=cmd_bench_scenarios)
+    p.set_defaults(fn=cmd_bench_scenarios, procs="2,8,32", seed=7)
 
     p = sub.add_parser("bench-profiles",
-                       help="model x P x hardware-profile ranking-flip sweep")
-    p.add_argument("--profiles", default=",".join(
-        ("origin2000", "numa-epyc", "fat-tree-cluster", "dragonfly")),
-        help="comma-separated hardware profile names (`repro profiles list`)")
-    p.add_argument("-p", "--procs", default="2,8,32")
-    p.add_argument("-m", "--models", default="mpi,shmem,sas")
+                       help="model x P x hardware-profile ranking-flip sweep",
+                       parents=[_flags(*_BENCH_FLAGS, *_SCENARIO_FLAGS, "placement")])
+    p.add_argument("--profiles", default=",".join(DEFAULT_PROFILES),
+                   help="comma-separated hardware profile names (`repro profiles list`)")
     p.add_argument("--scenario-class", default="multi_front",
                    help="the fixed scenario workload's class")
     p.add_argument("--intensity", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=7,
-                   help="generator seed of the fixed scenario workload")
-    p.add_argument("--mesh-n", type=int, default=8)
-    p.add_argument("--phases", type=int, default=4)
-    p.add_argument("--solver-iters", type=int, default=6)
-    p.add_argument("--placement", default="first-touch")
-    p.add_argument("-o", "--output", default=None, help="BENCH_PROFILES.json path")
     p.add_argument("--require-flip", action="store_true",
                    help="fail unless some profile changes the best model (CI)")
-    p.add_argument("--min-hit-rate", type=float, default=0.0,
-                   help="fail unless this fraction of lookups is served "
-                        "from the store (warm-cache CI gate)")
-    _add_serving(p, default_on=True)
-    p.set_defaults(fn=cmd_bench_profiles)
+    p.set_defaults(fn=cmd_bench_profiles, procs="2,8,32", seed=7)
 
     p = sub.add_parser("profiles",
                        help="list / describe the named hardware profiles")
@@ -1083,15 +1063,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate / describe / list synthetic scenario specs")
     ssub = p.add_subparsers(dest="scenarios_command", required=True)
 
-    g = ssub.add_parser("generate", help="generate a scenario spec on disk")
+    g = ssub.add_parser("generate", help="generate a scenario spec on disk",
+                        parents=[_flags(*_SCENARIO_FLAGS)])
     g.add_argument("scenario_class", metavar="class",
                    help="scenario class (see `repro scenarios list`)")
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--name", default=None,
                    help="spec name (default: class-seed-knobs slug)")
-    g.add_argument("--mesh-n", type=int, default=8)
-    g.add_argument("--phases", type=int, default=5)
-    g.add_argument("--solver-iters", type=int, default=6)
     g.add_argument("-k", "--knob", action="append", default=[], metavar="NAME=VALUE",
                    help="set a class knob, e.g. -k intensity=0.8 (repeatable)")
     g.add_argument("-o", "--out-dir", default="scenarios",
@@ -1100,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="processor count for the insights characterisation")
     g.add_argument("--no-insights", action="store_true",
                    help="skip writing the sibling *.insights.json")
-    g.set_defaults(fn=cmd_scenarios_generate)
+    g.set_defaults(fn=cmd_scenarios_generate, seed=0, phases=5)
 
     d = ssub.add_parser("describe",
                         help="characterise a spec: knobs, schedule, trajectory")
@@ -1115,16 +1092,12 @@ def build_parser() -> argparse.ArgumentParser:
     l.set_defaults(fn=cmd_scenarios_list)
 
     p = sub.add_parser("serve",
-                       help="serve a JSON sweep spec from the result store")
+                       help="serve a JSON sweep spec from the result store",
+                       parents=[_flags("cache_dir", "jobs")])
     p.add_argument("spec", metavar="SPEC.json",
                    help="JSON list of cells (or {\"cells\": [...]}); each cell "
                         "names an app plus model(s), nprocs, size/scenario, "
                         "placement, faults, derived")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="result-store root (default: $REPRO_CACHE_DIR "
-                        "or ./.repro-cache)")
-    p.add_argument("-j", "--jobs", type=int, default=1,
-                   help="shard uncached cells over N worker processes")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-cell deadline in seconds (pool mode only)")
     p.add_argument("--gc-stale", action="store_true",
@@ -1138,17 +1111,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="administer the on-disk result store")
     csub = p.add_subparsers(dest="cache_command", required=True)
 
-    c = csub.add_parser("stats", help="store inventory: entries, bytes, apps")
-    c.add_argument("--cache-dir", default=None, metavar="DIR")
+    c = csub.add_parser("stats", help="store inventory: entries, bytes, apps",
+                        parents=[_flags("cache_dir")])
     c.set_defaults(fn=cmd_cache_stats)
 
     c = csub.add_parser("verify",
-                        help="re-derive every entry's key from its signature")
-    c.add_argument("--cache-dir", default=None, metavar="DIR")
+                        help="re-derive every entry's key from its signature",
+                        parents=[_flags("cache_dir")])
     c.set_defaults(fn=cmd_cache_verify)
 
-    c = csub.add_parser("gc", help="remove store entries by age/version/state")
-    c.add_argument("--cache-dir", default=None, metavar="DIR")
+    c = csub.add_parser("gc", help="remove store entries by age/version/state",
+                        parents=[_flags("cache_dir")])
     c.add_argument("--older-than", type=float, default=None, metavar="DAYS",
                    help="drop entries older than this many days")
     c.add_argument("--outdated", action="store_true",
@@ -1161,9 +1134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("effort", help="programming-effort (LoC) table")
     p.set_defaults(fn=cmd_effort)
 
-    p = sub.add_parser("describe", help="describe the simulated machine")
+    p = sub.add_parser("describe", help="describe the simulated machine",
+                       parents=[_flags("machine_profile")])
     p.add_argument("-n", "--nprocs", type=int, default=8)
-    _add_machine_profile(p)
     p.set_defaults(fn=cmd_describe)
 
     p = sub.add_parser("paper", help="regenerate every experiment (R-F*/R-T*)")

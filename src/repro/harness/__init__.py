@@ -1,17 +1,13 @@
 """Experiment harness: run app × model × P sweeps and format the results."""
 
-from repro.harness.experiment import APPS, run_app, sweep
+from repro.harness.experiment import APPS, check_models, run_app, sweep, write_record
 from repro.harness.breakdown import breakdown_rows, comm_stats_rows
-from repro.harness.faultbench import format_fault_bench, run_fault_bench, write_fault_bench_json
-from repro.harness.profilebench import (
-    format_profile_bench,
+from repro.harness.faultbench import format_fault_bench, run_fault_bench
+from repro.harness.rankings import (
+    format_rank_sweep,
+    rank_sweep,
     run_profile_bench,
-    write_profile_bench_json,
-)
-from repro.harness.scenariobench import (
-    format_scenario_bench,
     run_scenario_bench,
-    write_scenario_bench_json,
 )
 from repro.harness.tables import format_table
 from repro.harness.figures import ascii_chart
@@ -19,17 +15,16 @@ from repro.harness.loc import count_loc, effort_table
 
 __all__ = [
     "APPS",
+    "check_models",
     "run_app",
     "sweep",
+    "write_record",
     "run_fault_bench",
     "format_fault_bench",
-    "write_fault_bench_json",
+    "rank_sweep",
     "run_scenario_bench",
-    "format_scenario_bench",
-    "write_scenario_bench_json",
     "run_profile_bench",
-    "format_profile_bench",
-    "write_profile_bench_json",
+    "format_rank_sweep",
     "breakdown_rows",
     "comm_stats_rows",
     "format_table",

@@ -18,11 +18,14 @@ Beyond the in-process cache sits the serving layer: ``run_app(...,
 store=...)`` serves a repeat run from the content-addressed on-disk
 result store, and ``sweep(..., jobs=N, store=...)`` shards the misses of
 a sweep across worker processes — see :mod:`repro.serving` and
-``docs/serving.md``.
+``docs/serving.md``.  Every sweep-shaped harness serves its cells through
+``serve_cells`` (which raises on the first failed cell) and writes its
+record with ``write_record``.
 """
 
 from __future__ import annotations
 
+import json
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
@@ -30,7 +33,10 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 from repro.models.base import ProgramResult
 from repro.models.registry import run_program
 
-__all__ = ["APPS", "SCRIPT_CACHE_MAX", "SweepRow", "run_app", "sweep"]
+__all__ = [
+    "APPS", "BENCH_FILES", "SCRIPT_CACHE_MAX", "SweepRow",
+    "check_models", "run_app", "serve_cells", "sweep", "write_record",
+]
 
 #: default bound on the in-process script cache (scripts are a few MB each;
 #: a thousand-cell sweep must not grow memory without bound or signal)
@@ -97,15 +103,36 @@ def _run_key(
     )
 
 
-def _program_for(app: str, programs: Dict[str, Any], model: str):
-    """The app's program for ``model``, or a ValueError naming the choices."""
-    try:
-        return programs[model]
-    except KeyError:
-        raise ValueError(
-            f"unknown model {model!r} for app {app!r}; "
-            f"choose from {sorted(programs)}"
-        ) from None
+def _programs(app: str) -> Dict[str, Any]:
+    """The app's program registry (``adapt3d`` and ``scenario`` run the adapt programs)."""
+    if app == "nbody":
+        from repro.apps.nbody import NBODY_PROGRAMS
+
+        return NBODY_PROGRAMS
+    if app == "jacobi":
+        from repro.apps.jacobi import JACOBI_PROGRAMS
+
+        return JACOBI_PROGRAMS
+    from repro.apps.adapt import ADAPT_PROGRAMS
+
+    return ADAPT_PROGRAMS
+
+
+def check_models(app: str, models: Iterable[str]) -> tuple:
+    """``models`` as a tuple, or a ValueError naming the models ``app`` runs.
+
+    Sweep commands call this before any cell runs, so a typo in a model
+    list fails at once instead of after the valid models' cells.
+    """
+    models = tuple(models)
+    programs = _programs(app)
+    for model in models:
+        if model not in programs:
+            raise ValueError(
+                f"unknown model {model!r} for app {app!r}; "
+                f"choose from {sorted(programs)}"
+            )
+    return models
 
 
 def _machine_config(nprocs: int, derived: Optional[Dict[str, Any]]):
@@ -118,7 +145,7 @@ def _machine_config(nprocs: int, derived: Optional[Dict[str, Any]]):
 
 
 def _adapt_runner(model, nprocs, workload, placement, trace=False, faults=None, derived=None, machine_profile=None) -> ProgramResult:
-    from repro.apps.adapt import ADAPT_PROGRAMS, AdaptConfig, build_script
+    from repro.apps.adapt import AdaptConfig, build_script
 
     cfg = workload or AdaptConfig()
     key = _run_key("adapt", cfg, nprocs, placement, faults, machine_profile)
@@ -128,7 +155,7 @@ def _adapt_runner(model, nprocs, workload, placement, trace=False, faults=None, 
         # can steer PLUM; the cache key above already distinguishes them
         script = build_script(cfg, nprocs, faults=faults, machine_profile=machine_profile)
         _script_cache[key] = script
-    return run_program(model, _program_for("adapt", ADAPT_PROGRAMS, model), nprocs, script, placement=placement, trace=trace, faults=faults, config=_machine_config(nprocs, derived), profile=machine_profile)
+    return run_program(model, _programs("adapt")[model], nprocs, script, placement=placement, trace=trace, faults=faults, config=_machine_config(nprocs, derived), profile=machine_profile)
 
 
 def _scenario_runner(model, nprocs, workload, placement, trace=False, faults=None, derived=None, machine_profile=None) -> ProgramResult:
@@ -139,7 +166,6 @@ def _scenario_runner(model, nprocs, workload, placement, trace=False, faults=Non
     *content hash* (not its name or config object), so distinct generated
     scenarios can never alias one script.
     """
-    from repro.apps.adapt import ADAPT_PROGRAMS
     from repro.workloads.synth import ScenarioSpec, load_spec, spec_config
 
     if workload is None:
@@ -157,25 +183,24 @@ def _scenario_runner(model, nprocs, workload, placement, trace=False, faults=Non
             spec_config(spec), nprocs, faults=faults, machine_profile=machine_profile
         )
         _script_cache[key] = script
-    return run_program(model, _program_for("scenario", ADAPT_PROGRAMS, model), nprocs, script, placement=placement, trace=trace, faults=faults, config=_machine_config(nprocs, derived), profile=machine_profile)
+    return run_program(model, _programs("scenario")[model], nprocs, script, placement=placement, trace=trace, faults=faults, config=_machine_config(nprocs, derived), profile=machine_profile)
 
 
 def _nbody_runner(model, nprocs, workload, placement, trace=False, faults=None, derived=None, machine_profile=None) -> ProgramResult:
-    from repro.apps.nbody import NBODY_PROGRAMS, NBodyConfig
+    from repro.apps.nbody import NBodyConfig
 
     cfg = workload or NBodyConfig()
-    return run_program(model, _program_for("nbody", NBODY_PROGRAMS, model), nprocs, cfg, placement=placement, trace=trace, faults=faults, config=_machine_config(nprocs, derived), profile=machine_profile)
+    return run_program(model, _programs("nbody")[model], nprocs, cfg, placement=placement, trace=trace, faults=faults, config=_machine_config(nprocs, derived), profile=machine_profile)
 
 
 def _jacobi_runner(model, nprocs, workload, placement, trace=False, faults=None, derived=None, machine_profile=None) -> ProgramResult:
-    from repro.apps.jacobi import JACOBI_PROGRAMS, JacobiConfig
+    from repro.apps.jacobi import JacobiConfig
 
     cfg = workload or JacobiConfig()
-    return run_program(model, _program_for("jacobi", JACOBI_PROGRAMS, model), nprocs, cfg, placement=placement, trace=trace, faults=faults, config=_machine_config(nprocs, derived), profile=machine_profile)
+    return run_program(model, _programs("jacobi")[model], nprocs, cfg, placement=placement, trace=trace, faults=faults, config=_machine_config(nprocs, derived), profile=machine_profile)
 
 
 def _adapt3d_runner(model, nprocs, workload, placement, trace=False, faults=None, derived=None, machine_profile=None) -> ProgramResult:
-    from repro.apps.adapt import ADAPT_PROGRAMS
     from repro.apps.adapt3d import Adapt3DConfig, build_script3d
 
     cfg = workload or Adapt3DConfig()
@@ -184,7 +209,7 @@ def _adapt3d_runner(model, nprocs, workload, placement, trace=False, faults=None
     if script is None:
         script = build_script3d(cfg, nprocs)
         _script_cache[key] = script
-    return run_program(model, _program_for("adapt3d", ADAPT_PROGRAMS, model), nprocs, script, placement=placement, trace=trace, faults=faults, config=_machine_config(nprocs, derived), profile=machine_profile)
+    return run_program(model, _programs("adapt3d")[model], nprocs, script, placement=placement, trace=trace, faults=faults, config=_machine_config(nprocs, derived), profile=machine_profile)
 
 
 APPS = {
@@ -257,6 +282,7 @@ def run_app(
         runner = APPS[app]
     except KeyError:
         raise ValueError(f"unknown app {app!r}; choose from {sorted(APPS)}") from None
+    check_models(app, (model,))
     if store is not None and not trace:
         from repro.serving.store import (
             cache_key,
@@ -330,29 +356,18 @@ def sweep(
     Returns:
         One :class:`SweepRow` per (model, P), in model-major order.
     """
-    nprocs_list = list(nprocs_list)
-    results: Dict[tuple, Any] = {}
-    if jobs > 1 or store is not None:
-        from repro.serving import Cell, run_cells
+    from repro.serving import Cell
 
-        cells = [
-            Cell(app, model, n, workload, placement, machine_profile=machine_profile)
-            for model in models
-            for n in nprocs_list
-        ]
-        for cr in run_cells(cells, store=store, jobs=jobs):
-            if cr.summary is None:
-                raise RuntimeError(
-                    f"sweep cell {cr.cell.label()} failed: {cr.error}"
-                )
-            results[(cr.cell.model, cr.cell.nprocs)] = cr.summary
-    else:
-        for model in models:
-            for n in nprocs_list:
-                results[(model, n)] = run_app(
-                    app, model, n, workload, placement,
-                    machine_profile=machine_profile,
-                )
+    nprocs_list = list(nprocs_list)
+    cells = [
+        Cell(app, model, n, workload, placement, machine_profile=machine_profile)
+        for model in models
+        for n in nprocs_list
+    ]
+    results = {
+        (c.model, c.nprocs): summary
+        for c, summary in zip(cells, serve_cells(cells, store=store, jobs=jobs))
+    }
     rows: List[SweepRow] = []
     for model in models:
         base_model = baseline_model or model
@@ -372,3 +387,42 @@ def sweep(
                 )
             )
     return rows
+
+
+def serve_cells(cells: Sequence[Any], store: Any = None, jobs: int = 1) -> List[Any]:
+    """Serve every cell through :func:`repro.serving.run_cells`.
+
+    Returns the cells' result summaries in input order, or raises a
+    RuntimeError naming the first failed cell, so no record is ever
+    built from a partial sweep.
+    """
+    from repro.serving import run_cells
+
+    served = run_cells(cells, store=store, jobs=jobs)
+    failed = [r for r in served if r.summary is None]
+    if failed:
+        raise RuntimeError(
+            f"sweep cell {failed[0].cell.label()} failed: {failed[0].error} "
+            f"({len(failed)} of {len(served)} cells failed)"
+        )
+    return [r.summary for r in served]
+
+
+#: each bench record's default file, by its ``benchmark`` field
+BENCH_FILES = {
+    "fault-recovery": "BENCH_FAULTS.json",
+    "scenario-sweep": "BENCH_SCENARIOS.json",
+    "profile-sweep": "BENCH_PROFILES.json",
+}
+
+
+def write_record(record: Dict[str, Any], path: Optional[str] = None) -> str:
+    """Write a bench record as sorted-key JSON; returns the path.
+
+    ``path`` defaults to the record's ``BENCH_*.json`` (:data:`BENCH_FILES`).
+    """
+    path = path or BENCH_FILES[record["benchmark"]]
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path

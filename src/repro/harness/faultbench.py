@@ -10,8 +10,9 @@ fraction of the machine's fault-free pace it still achieves).
 With ``verify=True`` (default) every faulted configuration also runs a
 second time with the same seed and the two runs are asserted identical —
 elapsed nanoseconds, fault counters and per-rank results — so the numbers
-can never come from nondeterministic injection.  ``write_fault_bench_json``
-emits the record as ``BENCH_FAULTS.json`` for the CI artifact.
+can never come from nondeterministic injection.
+:func:`repro.harness.experiment.write_record` writes the record as
+``BENCH_FAULTS.json``.
 
 ``correlated=True`` turns the two-arm comparison into three arms per
 (model, P): fault-free, fault-*blind* (correlated bursts injected, PLUM
@@ -24,15 +25,12 @@ penalty the fault-aware repartitioning clawed back.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, Optional, Sequence
 
 from repro.faults import resolve_profile
-from repro.harness.experiment import run_app
+from repro.harness.experiment import run_app, serve_cells
 
-__all__ = ["BENCH_FAULTS_FILENAME", "run_fault_bench", "write_fault_bench_json", "format_fault_bench"]
-
-BENCH_FAULTS_FILENAME = "BENCH_FAULTS.json"
+__all__ = ["run_fault_bench", "format_fault_bench"]
 
 
 def _rank_checksum(result) -> str:
@@ -90,7 +88,7 @@ def run_fault_bench(
         goodput, and the per-run checksums (plus the fault-aware arm and
         ``recovered_pct`` when ``correlated``).
     """
-    from repro.serving import Cell, run_cells
+    from repro.serving import Cell
 
     prof = resolve_profile(profile, seed=seed)
     if correlated and not prof.correlated:
@@ -113,13 +111,7 @@ def run_fault_bench(
         for n in nprocs_list
         for faults in arms
     ]
-    served = run_cells(cells, store=store, jobs=jobs)
-    failed = [r for r in served if r.summary is None]
-    if failed:
-        raise RuntimeError(
-            f"fault bench: {len(failed)} cell(s) failed, first: "
-            f"{failed[0].cell.label()}: {failed[0].error}"
-        )
+    summaries = iter(serve_cells(cells, store=store, jobs=jobs))
 
     def _check_determinism(model, n, faults, measured):
         again = run_app(app, model, n, workload, placement, faults=faults,
@@ -138,13 +130,12 @@ def run_fault_bench(
                 f"nondeterministic rank results for {model} P={n}"
             )
 
-    groups = iter(served)
     rows = []
     for model in models:
         for n in nprocs_list:
-            base = next(groups).summary
-            faulted = next(groups).summary
-            aware = next(groups).summary if correlated else None
+            base = next(summaries)
+            faulted = next(summaries)
+            aware = next(summaries) if correlated else None
             if verify:
                 _check_determinism(model, n, arms[1], faulted)
                 if correlated:
@@ -262,11 +253,3 @@ def format_fault_bench(record: Dict[str, Any]) -> str:
         )
     return "\n".join(lines)
 
-
-def write_fault_bench_json(record: Dict[str, Any], path: Optional[str] = None) -> str:
-    """Write the record to ``BENCH_FAULTS.json``; returns the path."""
-    path = path or BENCH_FAULTS_FILENAME
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

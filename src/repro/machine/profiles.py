@@ -28,7 +28,7 @@ behind each constant):
 ``python -m repro profiles list|describe`` prints the registry;
 ``--machine-profile`` selects one on run/sweep/bench commands; and
 ``python -m repro bench-profiles`` re-runs the paper's model × P comparison
-per profile (:mod:`repro.harness.profilebench`).
+per profile (:func:`repro.harness.rankings.run_profile_bench`).
 """
 
 from __future__ import annotations

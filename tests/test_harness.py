@@ -192,3 +192,70 @@ class TestCli:
         assert main(["sweep", "jacobi", "-p", "1,2", "-s", "small"]) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
+
+
+class TestFindFlips:
+    """The N-axis flip pass on a hand-built rank table (no simulation)."""
+
+    R1 = ["shmem", "mpi", "sas"]
+    R2 = ["shmem", "sas", "mpi"]  # same best model as R1
+    R3 = ["mpi", "shmem", "sas"]  # a different best model
+    AXES = [("a", ("a0", "a1")), ("b", (1, 2, 3)), ("c", ("x",))]
+
+    def flips(self):
+        from repro.harness.rankings import find_flips
+
+        table = {
+            ("a0", 1): self.R1, ("a0", 2): self.R1, ("a0", 3): self.R2,
+            ("a1", 1): self.R3, ("a1", 2): self.R1, ("a1", 3): self.R1,
+        }
+        return find_flips(self.AXES, {(a, b, "x"): r for (a, b), r in table.items()})
+
+    def test_innermost_axis_first_others_in_grid_order(self):
+        got = [(f["axis"], f["fixed"], f["from_setting"], f["to_setting"])
+               for f in self.flips()]
+        assert got == [
+            ("b", {"a": "a0", "c": "x"}, 2, 3),
+            ("b", {"a": "a1", "c": "x"}, 1, 2),
+            ("a", {"b": 1, "c": "x"}, "a0", "a1"),
+            ("a", {"b": 3, "c": "x"}, "a0", "a1"),
+        ]
+        # fixed axes are listed in grid order
+        assert [list(f["fixed"]) for f in self.flips()] == [
+            ["a", "c"], ["a", "c"], ["b", "c"], ["b", "c"],
+        ]
+
+    def test_rankings_and_best_changed(self):
+        got = [(f["from_ranking"], f["to_ranking"], f["best_changed"])
+               for f in self.flips()]
+        assert got == [
+            (self.R1, self.R2, False),
+            (self.R3, self.R1, True),
+            (self.R1, self.R3, True),
+            (self.R2, self.R1, False),
+        ]
+
+    def test_single_setting_axis_has_no_flips(self):
+        assert all(f["axis"] != "c" for f in self.flips())
+
+
+class TestModelValidation:
+    """A bad -m entry fails before any cell of the sweep runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "jacobi", "-p", "1,2", "-m", "mpi,hybrid"],
+        ["bench-faults", "-p", "1,4", "-m", "mpi,pvm"],
+        ["bench-scenarios", "-m", "mpi,pvm"],
+        ["bench-profiles", "-m", "mpi,pvm"],
+    ], ids=["sweep", "bench-faults", "bench-scenarios", "bench-profiles"])
+    def test_unknown_model_rejected_before_any_cell(self, argv, monkeypatch, tmp_path):
+        import repro.harness.experiment as experiment
+        from repro.__main__ import main
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a sweep cell ran before the model list was checked")
+
+        monkeypatch.setattr(experiment, "run_app", no_cells)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=r"unknown model '(hybrid|pvm)'.*choose from"):
+            main(argv + ["--no-cache"])

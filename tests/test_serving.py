@@ -251,7 +251,7 @@ class TestSweepServing:
                   workload=SMALL, store=ResultStore(tmp_path))
 
     def test_scenario_bench_warm_pass_is_byte_identical(self, tmp_path):
-        from repro.harness.scenariobench import run_scenario_bench
+        from repro.harness.rankings import run_scenario_bench
 
         kwargs = dict(
             classes=("multi_front",), models=("mpi", "shmem"),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.harness.experiment import _script_cache, run_app
-from repro.harness.scenariobench import run_scenario_bench
+from repro.harness.rankings import run_scenario_bench
 from repro.workloads import plummer_bodies, uniform_bodies
 from repro.workloads.synth import (
     SCENARIO_CLASSES,
