@@ -17,7 +17,8 @@ Locked quantities, all bit-identical (no tolerance):
 * per-CPU statistics (the float-sum order inside each rank matters),
 * per-rank program results,
 * for the ``contended-net`` rows, every link's bytes, acquires, claim
-  waits, queued ns and busy ns.
+  waits, queued ns and busy ns,
+* for the P=12 ``engine`` rows and ``mpi-waits``, the engine's seq count.
 
 P=64 and P=128 rows carry the ``nightly`` marker.
 """
@@ -40,6 +41,15 @@ class TestGoldenTimelines:
     @pytest.mark.parametrize("model", MODELS)
     def test_trace_and_stats_identical(self, model, nprocs):
         assert_matches_recording(f"engine/{model}-{nprocs}")
+
+    @pytest.mark.parametrize("model", recorder.ENGINE_ODD_MODELS)
+    def test_non_power_of_two_trees_identical(self, model):
+        """P=12: uneven collective trees and SHMEM ``to_all``'s fold/unfold."""
+        assert_matches_recording(f"engine/{model}-12")
+
+    def test_mixed_protocol_waits_identical(self):
+        """``waitall``/``waitany`` over eager, rendezvous and zero-byte messages."""
+        assert_matches_recording("mpi-waits/12")
 
     @pytest.mark.parametrize("nprocs", (8, 64))
     @pytest.mark.parametrize("model", ("shmem", "mpi"))

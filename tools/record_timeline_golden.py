@@ -22,7 +22,14 @@ Cases:
 * ``engine/<model>-<P>``: a short per-model kernel (MPI halo exchange
   plus an unexpected-queue flood, SHMEM put/iput/get rings, CC-SAS
   neighbour reads, hybrid node barriers plus MPI eager traffic), traced,
-  for every model at P in {1, 8, 64, 128};
+  for every model at P in {1, 8, 64, 128}, and for MPI, SHMEM and hybrid
+  at P=12, where the collective trees are not powers of two and SHMEM
+  ``to_all`` takes its fold/unfold path;
+* ``mpi-waits/<P>``: MPI ``waitall`` over interleaved eager, rendezvous
+  and zero-byte receives and sends, ``waitany`` races, blocking sends of
+  both protocols, every world collective, and point-to-point and
+  collective traffic on ``comm_split`` sub-communicators, traced, at
+  P=12;
 * ``adapt-mpi/<P>``: the adapt application under MPI at P in {64, 128};
 * ``adapt-sas/<P>``: adapt under CC-SAS at P in {1, 4, 8} on a mesh
   large enough for its shared-array sweeps to take the vectorised
@@ -46,6 +53,10 @@ Cases:
 * ``adapt3d/<model>/<P>``: the 3-D application on the default
   ``Adapt3DConfig`` under every model at P=8, traced.
 
+The P=12 ``engine`` rows and the ``mpi-waits`` rows also record the
+engine's ``seq`` count (``Engine.counters()["events"]``): a runtime that
+folds coroutine steps into timers must allocate the same seqs.
+
 Re-run only when an intentional simulated-time change lands (and say so
 in the commit):
 
@@ -68,6 +79,9 @@ GOLDEN_PATH = os.path.join(
 
 MODELS = ("mpi", "shmem", "sas", "hybrid")
 ENGINE_PROCS = (1, 8, 64, 128)
+ENGINE_ODD_MODELS = ("mpi", "shmem", "hybrid")
+ENGINE_ODD_PROCS = (12,)
+MPI_WAITS_PROCS = (12,)
 ADAPT_MPI_PROCS = (64, 128)
 ADAPT_SAS_PROCS = (1, 4, 8)
 WILDCARD_PROCS = (8,)
@@ -283,6 +297,109 @@ def contended_mpi_program(ctx, max_bytes: int) -> Generator:
     return total
 
 
+def mpi_waits_program(ctx, rounds: int) -> Generator:
+    """Nonblocking completion calls over mixed protocols, plus sub-communicators.
+
+    Each round every rank exchanges with both ring neighbours through one
+    ``waitall`` whose list interleaves receives and sends of eager,
+    rendezvous and zero-byte messages; then races three receives through
+    ``waitany`` (one already complete, two arriving after staggered
+    compute); then sends blocking messages of both protocols around the
+    ring.  The world collectives and a ``comm_split`` group's
+    point-to-point and collective calls follow.  Results fold in every
+    received value and the ``waitany`` completion order.
+    """
+    n = ctx.nprocs
+    me = ctx.rank
+    big = 4 * ctx.cfg.mpi_eager_bytes
+    left = (me - 1) % n
+    right = (me + 1) % n
+    acc = 0.0
+    order = 0
+    for step in range(rounds):
+        base = 400 + 10 * step
+        size_r = big if (me + step) % 3 == 0 else 24 + 8 * (me % 5)
+        size_l = big if (me + step) % 4 == 1 else 40
+        reqs = []
+        r = yield from ctx.irecv(left, tag=base)
+        reqs.append(r)
+        r = yield from ctx.isend(float(me + step), right, tag=base, nbytes=size_r)
+        reqs.append(r)
+        r = yield from ctx.irecv(right, tag=base + 1)
+        reqs.append(r)
+        r = yield from ctx.isend(None, left, tag=base + 2)
+        reqs.append(r)
+        r = yield from ctx.irecv(right, tag=base + 2)
+        reqs.append(r)
+        r = yield from ctx.isend(float(2 * me), left, tag=base + 1, nbytes=size_l)
+        reqs.append(r)
+        vals = yield from ctx.waitall(reqs)
+        acc += sum(v for v in vals if isinstance(v, float))
+        # waitany: the neighbours' messages land after staggered compute,
+        # the self-message is already complete before the call
+        racers = []
+        for peer, tag in ((left, base + 3), (right, base + 4), (me, base + 5)):
+            r = yield from ctx.irecv(peer, tag=tag)
+            racers.append(r)
+        sends = []
+        r = yield from ctx.isend(float(me), me, tag=base + 5, nbytes=16)
+        sends.append(r)
+        yield from ctx.compute(37.0 * (me % 4))
+        r = yield from ctx.isend(float(me), right, tag=base + 3, nbytes=32)
+        sends.append(r)
+        yield from ctx.compute(53.0 * ((me + 1) % 3))
+        r = yield from ctx.isend(float(me), left, tag=base + 4,
+                                 nbytes=big if me % 2 else 48)
+        sends.append(r)
+        pending = list(range(len(racers)))
+        while pending:
+            idx, val = yield from ctx.waitany([racers[i] for i in pending])
+            order = (order * 7 + pending[idx]) % 1_000_003
+            acc += val
+            del pending[idx]
+        yield from ctx.waitall(sends)
+        # blocking sends of both protocols; odd ranks receive first so the
+        # rendezvous ring cannot deadlock
+        size = big if (me + step) % 2 else 56
+        if me % 2:
+            got = yield from ctx.recv(left, tag=base + 6)
+            yield from ctx.send(float(me), right, tag=base + 6, nbytes=size)
+        else:
+            yield from ctx.send(float(me), right, tag=base + 6, nbytes=size)
+            got = yield from ctx.recv(left, tag=base + 6)
+        acc += got
+    total = yield from ctx.allreduce(acc)
+    root_val = yield from ctx.bcast(float(me) if me == 3 else None, root=3)
+    part = yield from ctx.reduce(float(me), root=n - 1)
+    every = yield from ctx.allgather(me * me)
+    mine = yield from ctx.scatter([float(i) for i in range(n)] if me == 1 else None, root=1)
+    scanned = yield from ctx.scan(float(me))
+    shifted = yield from ctx.alltoall([float(me * n + i) for i in range(n)])
+    comm = yield from ctx.comm_split(me % 3, key=-me)
+    c_me, c_n = comm.rank, comm.nprocs
+    c_right = (c_me + 1) % c_n
+    c_left = (c_me - 1) % c_n
+    got = yield from comm.sendrecv(float(me), c_right, c_left, sendtag=1, recvtag=1)
+    creqs = []
+    r = yield from comm.irecv(c_left, tag=2)
+    creqs.append(r)
+    r = yield from comm.isend(float(me), c_right, tag=2,
+                              nbytes=big if c_me % 2 else 24)
+    creqs.append(r)
+    cvals = yield from comm.waitall(creqs)
+    if c_me % 2:
+        cgot = yield from comm.recv(c_left, tag=3)
+        yield from comm.send(float(me), c_right, tag=3, nbytes=big)
+    else:
+        yield from comm.send(float(me), c_right, tag=3, nbytes=big)
+        cgot = yield from comm.recv(c_left, tag=3)
+    csum = yield from comm.allreduce(float(me))
+    cb = yield from comm.bcast(float(me), root=c_n - 1)
+    yield from ctx.barrier()
+    return (acc, order, total, root_val, part, sum(every), mine, scanned,
+            sum(shifted), got, cvals[0], cgot, csum, cb)
+
+
 ENGINE_PROGRAMS = {
     "mpi": (mpi_program, (8,)),
     "shmem": (shmem_program, (32,)),
@@ -318,6 +435,8 @@ def nbody_workload():
 def cases() -> List[str]:
     """Every recorded case name, in file order."""
     names = [f"engine/{m}-{p}" for m in MODELS for p in ENGINE_PROCS]
+    names += [f"engine/{m}-{p}" for m in ENGINE_ODD_MODELS for p in ENGINE_ODD_PROCS]
+    names += [f"mpi-waits/{p}" for p in MPI_WAITS_PROCS]
     names += [f"adapt-mpi/{p}" for p in ADAPT_MPI_PROCS]
     names += [f"adapt-sas/{p}" for p in ADAPT_SAS_PROCS]
     names += [f"wildcard-flood/{p}" for p in WILDCARD_PROCS]
@@ -328,13 +447,25 @@ def cases() -> List[str]:
     return names
 
 
+#: cases whose rows also pin the engine's seq count
+SEQ_CASES = frozenset(
+    [f"engine/{m}-{p}" for m in ENGINE_ODD_MODELS for p in ENGINE_ODD_PROCS]
+    + [f"mpi-waits/{p}" for p in MPI_WAITS_PROCS]
+)
+
+
 def case_machine(name: str) -> Any:
-    """A fresh machine for one case (per-link stats on for ``contended-net``)."""
+    """A fresh machine for one case (per-link stats on for ``contended-net``).
+
+    The router network needs a power-of-two CPU count, so a P=12 case runs
+    its 12 ranks on a 16-CPU machine.
+    """
     from repro.machine import Machine, MachineConfig
 
     nprocs = int(name.rsplit("/", 1)[-1].rsplit("-", 1)[-1])
+    cpus = 1 << (nprocs - 1).bit_length()
     derived = {"link_stats": "on"} if name.startswith("contended-net/") else {}
-    return Machine(MachineConfig(nprocs=nprocs, derived=derived))
+    return Machine(MachineConfig(nprocs=cpus, derived=derived))
 
 
 def run_case(name: str, machine: Any = None):
@@ -369,6 +500,8 @@ def run_case(name: str, machine: Any = None):
     if kind == "engine":
         program, args = ENGINE_PROGRAMS[model]
         return run_program(model, program, nprocs, *args, machine=machine, trace=True)
+    if kind == "mpi-waits":
+        return run_program("mpi", mpi_waits_program, nprocs, 2, machine=machine, trace=True)
     if kind == "wildcard-flood":
         return run_program("mpi", wildcard_flood_program, nprocs, 48, machine=machine)
     app, model = kind.split("-")
@@ -383,7 +516,10 @@ def record_case(name: str, machine: Any = None):
     if machine is None:
         machine = case_machine(name)
     result = run_case(name, machine=machine)
-    return result, fingerprint(result, machine)
+    row = fingerprint(result, machine)
+    if name in SEQ_CASES:
+        row["seqs"] = machine.engine.counters()["events"]
+    return result, row
 
 
 def fingerprint(result, machine: Any = None) -> Dict[str, Any]:
