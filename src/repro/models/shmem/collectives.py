@@ -5,6 +5,12 @@ contribution into a partner's staging buffer, then sets a flag the partner
 spins on.  Here the "put + flag" pair is one :func:`_send`; the spin is a
 wait on the matching signal event, charged to synchronisation time.
 
+The staging transfer runs on ``Network.transfer_async`` timers and sets
+the flag from its delivery callback; only the fault plane spawns a
+:func:`_deliver` coroutine, which retransmits lost flag lines.  In
+``to_all``'s recursive-doubling step, a send followed by the wait on the
+partner's flag is one parked yield (:func:`_exchange`).
+
 ``to_all`` (the reduction family) uses recursive doubling with the standard
 fold for non-power-of-two rank counts; ``broadcast`` is a binomial tree;
 ``collect`` reuses ``to_all`` with dictionary merge.
@@ -16,7 +22,7 @@ import functools
 from typing import Any, Callable, Generator, Optional
 
 from repro.models.payload import nbytes_of
-from repro.sim.engine import WaitEvent
+from repro.sim.engine import Delay, Hop, WaitEvent
 
 __all__ = ["broadcast", "collect", "to_all"]
 
@@ -43,8 +49,8 @@ def _observed(op: str):
     return deco
 
 
-def _send(ctx, dst: int, tag, value: Any) -> Generator:
-    """Model of 'put data into partner's staging buffer, then set flag'."""
+def _issue(ctx, dst: int, value: Any) -> int:
+    """Count and trace a staging put, charge its issue; returns its size."""
     size = nbytes_of(value)
     ctx.stats.puts += 1
     ctx.stats.put_bytes += size
@@ -55,21 +61,42 @@ def _send(ctx, dst: int, tag, value: Any) -> Generator:
         ctx._obs.emit(
             "coll_xfer", ctx.now, ctx.rank, dst, size, attrs={"wire": size + 8}
         )
-    yield from ctx.charged_delay("comm", ctx.cfg.shmem_op_ns)
-    ctx.machine.engine.spawn(
-        _deliver(ctx, dst, tag, value, size), name=f"shmem-coll:{ctx.rank}->{dst}"
-    )
+    ctx._charge("comm", ctx.cfg.shmem_op_ns)
+    return size
+
+
+def _launch(ctx, dst: int, tag, value: Any, size: int) -> None:
+    """Start the data + flag line transfer; its arrival sets the flag.
+
+    ``transfer_async`` takes the seq slot a spawned transfer's start
+    would; with the fault plane on, :func:`_deliver` is spawned instead.
+    """
+    if not ctx.machine.network.transfer_async(
+        ctx.node, ctx.cfg.node_of_cpu(dst), size + 8, _flag_set, (ctx.world, dst, tag, value)
+    ):
+        ctx.machine.engine.spawn(
+            _deliver(ctx, dst, tag, value, size), name=f"shmem-coll:{ctx.rank}->{dst}"
+        )
+
+
+def _flag_set(arg) -> None:
+    world, dst, tag, value = arg
+    world.signal(dst, tag, value)
+
+
+def _send(ctx, dst: int, tag, value: Any) -> Generator:
+    """Model of 'put data into partner's staging buffer, then set flag'."""
+    size = _issue(ctx, dst, value)
+    yield Delay(ctx.cfg.shmem_op_ns)
+    _launch(ctx, dst, tag, value, size)
 
 
 def _deliver(ctx, dst: int, tag, value: Any, size: int) -> Generator:
+    """Fault-plane transfer: the partner spins on the flag, so a lost
+    staging put would hang the collective — retransmit until it lands."""
     wire = size + 8  # data + flag line
     dst_node = ctx.cfg.node_of_cpu(dst)
-    if ctx.machine.faults.enabled:
-        # the partner spins on the flag, so a lost staging put would hang
-        # the collective — retransmit until the flag line lands
-        yield from ctx._with_retries([(ctx.node, dst_node, wire)], "coll", dst, wire)
-    else:
-        yield from ctx.machine.network.transfer(ctx.node, dst_node, wire)
+    yield from ctx._with_retries([(ctx.node, dst_node, wire)], "coll", dst, wire)
     ctx.world.signal(dst, tag, value)
 
 
@@ -80,6 +107,26 @@ def _recv(ctx, tag) -> Generator:
     value = yield WaitEvent(ev)
     ctx.stats.sync_ns += ctx.now - t0
     return value
+
+
+def _exchange(ctx, partner: int, tag, value: Any) -> Generator:
+    """:func:`_send` then :func:`_recv` of the same ``tag``, parked once.
+
+    The issue timer (:func:`_exchange_hop`) starts the transfer and
+    waits on the flag at the instant the send's resume would have, so
+    the seqs are those of the two calls.
+    """
+    size = _issue(ctx, partner, value)
+    op_ns = float(ctx.cfg.shmem_op_ns)
+    t0 = ctx.now + op_ns  # the flag wait begins when the issue completes
+    other = yield Hop(op_ns, _exchange_hop, (ctx, partner, tag, value, size))
+    ctx.stats.sync_ns += ctx.now - t0
+    return other
+
+
+def _exchange_hop(proc, ctx, partner: int, tag, value: Any, size: int) -> None:
+    _launch(ctx, partner, tag, value, size)
+    ctx.machine.engine._wait_event(proc, ctx.world.wait_signal(ctx.rank, tag))
 
 
 @_observed("broadcast")
@@ -130,8 +177,7 @@ def to_all(ctx, value: Any, op: Optional[Callable] = None) -> Generator:
         mask = 1
         while mask < p2:
             partner = rank ^ mask
-            yield from _send(ctx, partner, ("rd", seq, mask), result)
-            other = yield from _recv(ctx, ("rd", seq, mask))
+            other = yield from _exchange(ctx, partner, ("rd", seq, mask), result)
             result = fn(result, other)
             mask <<= 1
         if rank < extras:

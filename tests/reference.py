@@ -7,6 +7,9 @@
 * :class:`ListScanQueue`, the plain FIFO first-match list that
   :class:`repro.models.mpi.matchq.MatchQueue`'s head, index and vector
   routes must agree with.
+* :func:`reference_nbytes`, the plain recursive wire-size estimate that
+  :func:`repro.models.payload.nbytes_of`'s exact-type shortcuts must
+  agree with.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+
+import numpy as np
 
 from repro.models.mpi.matchq import ANY
 
@@ -64,3 +69,27 @@ class ListScanQueue:
                 del self.entries[i]
                 return item
         return None
+
+
+def reference_nbytes(payload) -> int:
+    """Wire-size estimate by one isinstance chain, recursing into items."""
+    if payload is None:
+        return 0
+    if isinstance(payload, np.ndarray):
+        return int(payload.nbytes)
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        return len(payload)
+    if isinstance(payload, str):
+        return len(payload.encode("utf-8"))
+    if isinstance(payload, (bool, int, float, complex, np.generic)):
+        return 8
+    if isinstance(payload, (list, tuple, set, frozenset)):
+        return 16 + sum(reference_nbytes(item) for item in payload)
+    if isinstance(payload, dict):
+        return 16 + sum(
+            reference_nbytes(k) + reference_nbytes(v) for k, v in payload.items()
+        )
+    attrs = getattr(payload, "__dict__", None)
+    if attrs is not None:
+        return 16 + sum(reference_nbytes(v) for v in attrs.values())
+    return 8

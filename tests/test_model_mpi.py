@@ -313,3 +313,29 @@ class TestCosts:
         assert res.stats.per_cpu[0].msgs_sent == 1
         assert res.stats.per_cpu[0].bytes_sent == 128 * 8
         assert res.stats.per_cpu[1].comm_ns > 0
+
+
+class TestFusedResumes:
+    """Runtime bookkeeping runs in engine timers, not rank resumes."""
+
+    def test_waitall_over_receives_resumes_once(self):
+        def program(ctx):
+            engine = ctx.machine.engine
+            if ctx.rank == 0:
+                reqs = []
+                for src in (1, 2, 3):
+                    r = yield from ctx.irecv(src, tag=7)
+                    reqs.append(r)
+                # every message has arrived and every sender has finished
+                yield from ctx.compute(1e6)
+                before = engine.resumes
+                got = yield from ctx.waitall(reqs)
+                return got, engine.resumes - before, [r.status.source for r in reqs]
+            yield from ctx.send(float(ctx.rank), 0, tag=7)
+            return None
+
+        res = run_mpi(program, 4)
+        got, resumes, sources = res.rank_results[0]
+        assert got == [1.0, 2.0, 3.0]
+        assert sources == [1, 2, 3]
+        assert resumes == 1

@@ -259,3 +259,30 @@ class TestCosts:
         res = run_shmem(program, 2)
         assert res.stats.per_cpu[0].puts == 1
         assert res.stats.per_cpu[0].put_bytes == 128
+
+
+class TestCollectiveTransfers:
+    """SHMEM collective legs deliver through network timers."""
+
+    @pytest.mark.parametrize("n", (8, 12))
+    def test_to_all_spawns_no_process_beyond_the_ranks(self, n):
+        def program(ctx):
+            got = yield from ctx.sum_to_all(ctx.rank + 1)
+            table = yield from ctx.collect(ctx.rank)
+            return got, table
+
+        machine = Machine(MachineConfig(nprocs=16 if n == 12 else n))
+        res = run_program("shmem", program, n, machine=machine)
+        assert res.rank_results[:n] == [(n * (n + 1) // 2, list(range(n)))] * n
+        assert len(machine.engine._procs) == n
+
+    def test_fault_plane_to_all_delivers_through_spawned_transfers(self):
+        def program(ctx):
+            got = yield from ctx.sum_to_all(ctx.rank + 1)
+            return got
+
+        machine = Machine(MachineConfig(nprocs=8), faults="lossy")
+        res = run_program("shmem", program, 8, machine=machine)
+        assert res.rank_results == [36] * 8
+        spawned = [p.name for p in machine.engine._procs[8:]]
+        assert spawned and all(name.startswith("shmem-coll:") for name in spawned)

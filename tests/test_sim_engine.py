@@ -620,3 +620,108 @@ def test_nested_any_of_inside_all_of_under_cohort_drain(force_bulk):
     eng.spawn(firer())
     eng.run()
     assert c.result == [(i, 1, f"win{i}") for i in range(n)]
+
+
+# -- callback waiters: AllOf/AnyOf run without helper processes ---------------
+
+
+def test_all_of_and_any_of_create_no_processes():
+    """The waits register callback waiters; only the spawned programs run."""
+    eng = Engine()
+    evs = [eng.event(f"e{i}") for i in range(3)]
+
+    def firer():
+        for i, ev in enumerate(evs):
+            yield Delay(i + 1)
+            ev.fire(i)
+
+    def waiter():
+        first = yield AnyOf(evs)
+        values = yield AllOf(evs)
+        return first, values
+
+    w = eng.spawn(waiter())
+    eng.spawn(firer())
+    eng.run()
+    assert w.result == ((0, 0), [0, 1, 2])
+    assert len(eng._procs) == 2
+    # firer: start and three delay wakes; waiter: start and one wake per wait
+    assert eng.counters()["resumes"] == 7
+
+
+def test_all_of_continuation_runs_in_the_resume_slot():
+    """``AllOf(events, fn, args)`` calls ``fn(proc, *args)`` when the last fires."""
+    eng = Engine()
+    evs = [eng.event(f"e{i}") for i in range(2)]
+    seen = []
+
+    def cont(proc, tag):
+        seen.append((tag, eng.now, [ev.value for ev in evs]))
+        eng._schedule(0.0, proc, "resumed")
+
+    def waiter():
+        value = yield AllOf(evs, cont, ("t",))
+        return value
+
+    def firer():
+        yield Delay(2)
+        evs[1].fire("b")
+        yield Delay(3)
+        evs[0].fire("a")
+
+    w = eng.spawn(waiter())
+    eng.spawn(firer())
+    eng.run()
+    assert seen == [("t", 5.0, ["a", "b"])]
+    assert w.result == "resumed"
+
+
+def test_any_of_and_all_of_keep_the_helper_process_slots():
+    """Same-instant interleaving and seq count of the helper-process engine.
+
+    The expected log and seq count were recorded from the engine whose
+    ``AllOf``/``AnyOf`` spawned helper processes: a watcher that finds
+    its event already fired, a scan that resumes after several events,
+    and a losing watcher firing late must each take that engine's slots.
+    """
+    eng = Engine()
+    a, b, c, d = (eng.event(n) for n in "abcd")
+    log = []
+
+    def racer():
+        idx, v = yield AnyOf([a, b, d])
+        log.append(("any", idx, v, eng.now))
+        vals = yield AllOf([b, c, a])
+        log.append(("all", vals, eng.now))
+        idx, v = yield AnyOf([d, c])
+        log.append(("any2", idx, v, eng.now))
+
+    def firer():
+        a.fire("A")  # same instant, before the watchers start
+        yield Delay(0)
+        log.append(("f0", eng.now))
+        b.fire("B")
+        yield Delay(0)
+        log.append(("f1", eng.now))
+        yield Delay(1)
+        c.fire("C")
+        d.fire("D")  # a loser of the first race fires late
+        yield Delay(0)
+        log.append(("f2", eng.now))
+
+    def bystander():
+        for i in range(8):
+            log.append(("by", i, eng.now))
+            yield Delay(0)
+
+    eng.spawn(racer())
+    eng.spawn(firer())
+    eng.spawn(bystander())
+    eng.run()
+    assert log == [
+        ("by", 0, 0.0), ("f0", 0.0), ("by", 1, 0.0), ("f1", 0.0), ("by", 2, 0.0),
+        ("any", 0, "A", 0.0), ("by", 3, 0.0), ("by", 4, 0.0), ("by", 5, 0.0),
+        ("by", 6, 0.0), ("by", 7, 0.0), ("f2", 1.0), ("all", ["B", "C", "A"], 1.0),
+        ("any2", 0, "D", 1.0),
+    ]
+    assert eng.counters()["events"] == 26
