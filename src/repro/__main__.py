@@ -698,7 +698,9 @@ def _serve_cells_from_spec(path: str) -> list:
     each entry names at least an ``app`` and may carry ``model`` or a
     ``models`` list, ``nprocs`` (int or list), ``size``, ``scenario``,
     ``placement``, ``faults`` (+ ``fault_seed``), and ``derived``.  List
-    fields cross-product in P-major, model-minor order.
+    fields cross-product in P-major, model-minor order.  The app and the
+    models of every entry are checked before any cell runs, so a
+    typo fails the whole spec instead of running the valid cells first.
     """
     import json as _json
 
@@ -721,6 +723,10 @@ def _serve_cells_from_spec(path: str) -> list:
             raise SystemExit(f"error: serve spec cell #{i} needs at least an 'app'")
         app = entry["app"]
         models = entry.get("models") or [entry.get("model", "mpi")]
+        try:
+            check_models(app, models)
+        except ValueError as exc:
+            raise SystemExit(f"error: serve spec cell #{i}: {exc}") from None
         procs = entry.get("nprocs", 8)
         procs = procs if isinstance(procs, list) else [procs]
         if entry.get("scenario"):

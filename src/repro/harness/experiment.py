@@ -119,11 +119,14 @@ def _programs(app: str) -> Dict[str, Any]:
 
 
 def check_models(app: str, models: Iterable[str]) -> tuple:
-    """``models`` as a tuple, or a ValueError naming the models ``app`` runs.
+    """``models`` as a tuple, or a ValueError naming the apps or the
+    models ``app`` runs.
 
-    Sweep commands call this before any cell runs, so a typo in a model
-    list fails at once instead of after the valid models' cells.
+    Sweep commands call this before any cell runs, so a typo in an app
+    or a model list fails at once instead of after the valid cells.
     """
+    if app not in APPS:
+        raise ValueError(f"unknown app {app!r}; choose from {sorted(APPS)}")
     models = tuple(models)
     programs = _programs(app)
     for model in models:
@@ -278,11 +281,8 @@ def run_app(
         ``rank_results``, ``phase_ns``, ``fault_summary``, aggregate
         ``stats``).
     """
-    try:
-        runner = APPS[app]
-    except KeyError:
-        raise ValueError(f"unknown app {app!r}; choose from {sorted(APPS)}") from None
     check_models(app, (model,))
+    runner = APPS[app]
     if store is not None and not trace:
         from repro.serving.store import (
             cache_key,

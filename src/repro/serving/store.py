@@ -74,28 +74,65 @@ def default_cache_dir() -> Path:
 # -- canonical signatures -----------------------------------------------------
 
 
+#: class -> its dataclass field names (None for other classes), filled on
+#: first sight; a class's fields are fixed when it is created, so every
+#: caller may share the entry
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    try:
+        return _FIELD_NAMES[cls]
+    except KeyError:
+        names = (tuple(f.name for f in dataclasses.fields(cls))
+                 if dataclasses.is_dataclass(cls) else None)
+        _FIELD_NAMES[cls] = names
+        return names
+
+
 def _plain(value: Any) -> Any:
-    """A JSON-safe canonical form of ``value`` (recursive, order-free)."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {f.name: _plain(getattr(value, f.name))
-                  for f in dataclasses.fields(value)}
-        return {"__type__": type(value).__name__, **fields}
+    """A JSON-safe canonical form of ``value`` (recursive, order-free).
+
+    A dataclass becomes ``{"__type__": <class name>, <field>: ...}``, a
+    dict gets ``str`` keys, a list or tuple becomes a list, a ``Path``
+    becomes its ``str``, a ``str``/``int``/``float``/``bool``/``None``
+    stays as it is, and anything else becomes its ``repr``.  Exact
+    builtin types are checked first; subclasses (NamedTuples, NumPy
+    floats, int enums) take the ``isinstance`` rules below them.
+    """
+    cls = type(value)
+    if cls is str or cls is int or cls is float or cls is bool or value is None:
+        return value
+    if cls is list or cls is tuple:
+        return [_plain(v) for v in value]
+    if cls is dict:
+        return {str(k): _plain(v) for k, v in sorted(value.items())}
+    names = _field_names(cls)
+    if names is not None:
+        fields = {name: _plain(getattr(value, name)) for name in names}
+        return {"__type__": cls.__name__, **fields}
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, Path):
         return str(value)
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    if isinstance(value, float):
+    if isinstance(value, (str, int, float)):
         return value
     return repr(value)
 
 
 def canonical_json(obj: Any) -> str:
-    """Canonical JSON text: sorted keys, compact separators."""
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
+    """Canonical JSON text: sorted keys, compact separators.
+
+    ``json`` writes the JSON-native values itself and hands everything
+    else to :func:`_plain`, so an already-plain signature is dumped
+    without a second walk.  The text equals ``json.dumps(_plain(obj))``
+    whenever the dicts ``json`` meets directly have ``str`` keys, which
+    holds for every run signature (:func:`run_signature` plains its
+    ``derived`` dict and the workload's fields).
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
 
 
 def resolve_workload(app: str, workload: Any) -> Any:
@@ -347,7 +384,10 @@ class ResultStore:
     """
 
     def __init__(self, root: Union[None, str, Path] = None):
-        self.root = Path(root) if root is not None else default_cache_dir()
+        self._root = Path(root) if root is not None else default_cache_dir()
+        # objects_dir as a string ending in a separator: a lookup appends
+        # ``<key[:2]>/<key>.json`` to it instead of joining Paths
+        self._prefix = os.path.join(self._root, f"v{STORE_SCHEMA}", "objects", "")
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -356,18 +396,25 @@ class ResultStore:
     # -- paths ----------------------------------------------------------------
 
     @property
+    def root(self) -> Path:
+        return self._root
+
+    @property
     def objects_dir(self) -> Path:
-        return self.root / f"v{STORE_SCHEMA}" / "objects"
+        return Path(self._prefix)
+
+    def _object_path(self, key: str) -> str:
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
 
     def path_for(self, key: str) -> Path:
         """Where the object for ``key`` lives (whether or not it exists)."""
-        return self.objects_dir / key[:2] / f"{key}.json"
+        return Path(self._object_path(key))
 
     # -- read / write ---------------------------------------------------------
 
     def contains(self, key: str) -> bool:
         """Presence check that does not touch the session counters."""
-        return self.path_for(key).is_file()
+        return os.path.isfile(self._object_path(key))
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload for ``key``, or ``None`` on miss.
@@ -376,11 +423,12 @@ class ResultStore:
         ``read_errors``) — the serving layer recomputes and overwrites
         them rather than failing a sweep.
         """
-        path = self.path_for(key)
+        path = self._object_path(key)
         try:
-            record = json.loads(path.read_text())
+            with open(path, "rb") as fh:
+                record = json.loads(fh.read())
         except (OSError, ValueError):
-            if path.exists():
+            if os.path.exists(path):
                 self.read_errors += 1
             self.misses += 1
             return None
@@ -402,8 +450,9 @@ class ResultStore:
 
         Args:
             key: :func:`cache_key` of ``signature``.
-            signature: the full canonical signature (stored alongside the
-                payload so ``cache verify`` can re-derive the key).
+            signature: the signature :func:`run_signature` returns, already
+                plain JSON data (stored as it is alongside the payload so
+                ``cache verify`` can re-derive the key).
             payload: JSON-serialisable result summary.
             identity: optional grouping label (see :func:`run_identity`)
                 used by incremental invalidation to find stale entries.
@@ -416,7 +465,7 @@ class ResultStore:
             "schema": STORE_SCHEMA,
             "key": key,
             "identity": identity,
-            "signature": _plain(signature),
+            "signature": signature,
             "payload": payload,
         }
         try:

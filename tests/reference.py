@@ -10,13 +10,18 @@
 * :func:`reference_nbytes`, the plain recursive wire-size estimate that
   :func:`repro.models.payload.nbytes_of`'s exact-type shortcuts must
   agree with.
+* :func:`reference_canonical_json`, the store's canonical signature text
+  by one recursive ``isinstance`` walk and a plain ``json.dumps``, which
+  :func:`repro.serving.store.canonical_json` must agree with.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -93,3 +98,27 @@ def reference_nbytes(payload) -> int:
     if attrs is not None:
         return 16 + sum(reference_nbytes(v) for v in attrs.values())
     return 8
+
+
+def _reference_plain(value):
+    """A JSON-safe canonical form of ``value`` (recursive, order-free)."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = {f.name: _reference_plain(getattr(value, f.name))
+                  for f in dataclasses.fields(value)}
+        return {"__type__": type(value).__name__, **fields}
+    if isinstance(value, dict):
+        return {str(k): _reference_plain(v) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_reference_plain(v) for v in value]
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, (str, int, bool)) or value is None:
+        return value
+    if isinstance(value, float):
+        return value
+    return repr(value)
+
+
+def reference_canonical_json(obj) -> str:
+    """Canonical JSON text: plain the whole value first, then dump it."""
+    return json.dumps(_reference_plain(obj), sort_keys=True, separators=(",", ":"))

@@ -309,3 +309,66 @@ class TestScriptCacheLRU:
         run_app("adapt", "mpi", 2, ADAPT, placement="round-robin")
         assert len(_script_cache) == 2  # distinct signatures, distinct keys
         _script_cache.clear()
+
+
+class TestServeCommand:
+    """``python -m repro serve`` end to end: spec checks, cold, warm, gc."""
+
+    @staticmethod
+    def _serve(capsys, spec, cache, *extra):
+        from repro.__main__ import main
+
+        rc = main(["serve", str(spec), "--cache-dir", str(cache), "--json", *extra])
+        out = json.loads(capsys.readouterr().out)
+        return rc, out
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"app": "jacobi", "models": ["mpi", "pvm"], "nprocs": 2},
+         r"serve spec cell #1: unknown model 'pvm'.*choose from"),
+        ({"app": "jaccobi", "model": "mpi", "nprocs": 2},
+         r"serve spec cell #1: unknown app 'jaccobi'.*choose from"),
+    ], ids=["model", "app"])
+    def test_bad_spec_rejected_before_any_cell(self, entry, message, monkeypatch, tmp_path):
+        import repro.harness.experiment as experiment
+        from repro.__main__ import main
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a serve cell ran before the spec was checked")
+
+        monkeypatch.setattr(experiment, "run_app", no_cells)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"app": "jacobi", "model": "sas", "nprocs": 1}, entry]))
+        with pytest.raises(SystemExit, match=message):
+            main(["serve", str(spec), "--cache-dir", str(tmp_path / "store")])
+        assert not (tmp_path / "store").exists()
+
+    def test_cold_then_warm_then_gc_stale(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        cache = tmp_path / "store"
+        entries = [
+            {"app": "jacobi", "models": ["mpi", "sas"], "nprocs": [1, 2], "size": "small"},
+            {"app": "jacobi", "model": "shmem", "nprocs": 2, "size": "small"},
+        ]
+        spec.write_text(json.dumps(entries))
+        rc, cold = self._serve(capsys, spec, cache)
+        assert rc == 0 and cold["report"]["computed"] == 5 and cold["report"]["hits"] == 0
+
+        rc, warm = self._serve(capsys, spec, cache)
+        assert rc == 0
+        assert warm["plan"]["hits"] == 5
+        assert warm["report"]["hits"] == 5 and warm["report"]["computed"] == 0
+        assert [r["source"] for r in warm["rows"]] == ["store"] * 5
+        assert [r["elapsed_ms"] for r in warm["rows"]] == \
+            [r["elapsed_ms"] for r in cold["rows"]]
+
+        entries[1]["size"] = "medium"
+        spec.write_text(json.dumps(entries))
+        superseded = Cell("jacobi", "shmem", 2, JacobiConfig(nx=64, ny=64, iters=10)).key()
+        assert ResultStore(cache).contains(superseded)
+        rc, moved = self._serve(capsys, spec, cache, "--gc-stale")
+        assert rc == 0
+        assert moved["report"]["hits"] == 4 and moved["report"]["computed"] == 1
+        assert moved["report"]["invalidated"] == 1
+        assert moved["report"]["stale_removed"] == 1
+        assert not ResultStore(cache).contains(superseded)
+        assert ResultStore(cache).stats()["entries"] == 5
