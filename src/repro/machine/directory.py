@@ -102,13 +102,7 @@ class Directory:
         self._sharers = np.zeros((0, config.nprocs), dtype=bool)
         self._owner = np.empty(0, dtype=np.int32)
         self._ensure_lines(1024)
-        self._hop_matrix = np.array(
-            [
-                [topology.router_hops(a, b) for b in range(config.nnodes)]
-                for a in range(config.nnodes)
-            ],
-            dtype=np.int64,
-        )
+        self._hop_matrix = topology.hop_matrix()
         self.batch_calls = 0          # transaction_batch invocations
         self.batch_fast_lines = 0     # lines handled by the vectorised path
         for cpu, cache in enumerate(caches):

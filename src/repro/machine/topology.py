@@ -39,6 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple, Type
 
+import numpy as np
+
 from repro.machine.config import MachineConfig
 
 __all__ = [
@@ -53,7 +55,7 @@ __all__ = [
 
 
 class RouteInfo(NamedTuple):
-    """One precomputed routing-table entry.
+    """One routing-table entry (built on first use, then cached).
 
     ``links`` are link indices in traversal order; ``hops`` counts the
     router-to-router hops among them and ``deep_hops`` the subset that are
@@ -104,7 +106,14 @@ class Link:
 
 
 class Topology:
-    """Precomputed routes between every pair of nodes (hypercube base)."""
+    """Routes between node pairs, built on first use (hypercube base).
+
+    Construction builds only the link list; each :class:`RouteInfo` is
+    computed by the first :meth:`route_info` for its pair and cached on
+    this instance, so a run pays for the routes it touches.
+    :meth:`hop_matrix` gives the whole router-hop table without building
+    any route.
+    """
 
     kind = "hypercube"
 
@@ -113,15 +122,13 @@ class Topology:
         self.nnodes = config.nnodes
         self.nrouters = config.nrouters
         self.dim = max(self.nrouters - 1, 0).bit_length()
+        self._router_of: Tuple[int, ...] = tuple(
+            config.router_of_node(node) for node in range(self.nnodes)
+        )
         self.links: List[Link] = []
         self._link_index: Dict[Tuple[str, int, int], int] = {}
         self._build_links()
         self._routes: Dict[Tuple[int, int], RouteInfo] = {}
-        # power-of-two router counts (every valid Origin configuration) get
-        # their full routing table eagerly; degenerate router counts keep the
-        # lazy per-pair build so partially-routable machines still work
-        if self.nrouters & (self.nrouters - 1) == 0:
-            self.build_routing_tables()
 
     # -- construction -------------------------------------------------------
 
@@ -130,8 +137,7 @@ class Topology:
         self.links.append(link)
 
     def _add_hub_links(self) -> None:
-        for node in range(self.nnodes):
-            router = self.config.router_of_node(node)
+        for node, router in enumerate(self._router_of):
             self._add_link(Link("hub-out", node, router))
             self._add_link(Link("hub-in", router, node))
 
@@ -157,6 +163,15 @@ class Topology:
         rb = self.config.router_of_node(node_b)
         return bin((ra ^ rb) >> self.config.deep_dim_start).count("1")
 
+    def hop_matrix(self) -> np.ndarray:
+        """``router_hops`` for every ordered node pair, as int64 nnodes².
+
+        Builds no route: the hypercube hop count is the popcount of the
+        XOR of the two router indices.
+        """
+        routers = np.asarray(self._router_of, dtype=np.int64)
+        return np.bitwise_count(routers[:, None] ^ routers[None, :]).astype(np.int64)
+
     def route_static_ns(self, info: RouteInfo) -> float:
         """Static (byte-free) cost of an inter-node route.
 
@@ -174,18 +189,15 @@ class Topology:
             + info.deep_hops * cfg.deep_hop_extra_ns
         )
 
-    def build_routing_tables(self) -> None:
-        """Precompute :class:`RouteInfo` for every ordered node pair."""
-        for src in range(self.nnodes):
-            for dst in range(self.nnodes):
-                self.route_info(src, dst)
-
     def route_info(self, src_node: int, dst_node: int) -> RouteInfo:
-        """The routing-table entry for ``src -> dst`` (cached)."""
+        """The routing-table entry for ``src -> dst`` (built once, cached)."""
         key = (src_node, dst_node)
         cached = self._routes.get(key)
         if cached is not None:
             return cached
+        for node in key:
+            if not 0 <= node < self.nnodes:
+                raise ValueError(f"node {node} out of range [0, {self.nnodes})")
         info = self._compute_route(src_node, dst_node)
         self._routes[key] = info
         return info
@@ -193,10 +205,10 @@ class Topology:
     def _compute_route(self, src_node: int, dst_node: int) -> RouteInfo:
         if src_node == dst_node:
             return RouteInfo((), 0, 0)
-        cfg = self.config
-        path: List[int] = [self._link_index[("hub-out", src_node, cfg.router_of_node(src_node))]]
-        cur = cfg.router_of_node(src_node)
-        target = cfg.router_of_node(dst_node)
+        cur = self._router_of[src_node]
+        target = self._router_of[dst_node]
+        path: List[int] = [self._link_index[("hub-out", src_node, cur)]]
+        deep_start = self.config.deep_dim_start
         hops = deep = 0
         for d in range(self.dim):  # dimension-order routing
             if (cur ^ target) & (1 << d):
@@ -212,7 +224,7 @@ class Topology:
                 path.append(idx)
                 cur = nxt
                 hops += 1
-                if d >= cfg.deep_dim_start:
+                if d >= deep_start:
                     deep += 1
         path.append(self._link_index[("hub-in", target, dst_node)])
         return RouteInfo(tuple(path), hops, deep)
@@ -221,7 +233,7 @@ class Topology:
         """Link indices along the deterministic path ``src -> dst``.
 
         Empty for ``src == dst`` (intra-node traffic never enters the
-        network).  Routes are cached.
+        network).  Routes are built on first use and cached.
         """
         return self.route_info(src_node, dst_node).links
 
@@ -257,6 +269,11 @@ class StarTopology(Topology):
 
     def deep_hops(self, node_a: int, node_b: int) -> int:
         return 0
+
+    def hop_matrix(self) -> np.ndarray:
+        hops = np.full((self.nnodes, self.nnodes), 2, dtype=np.int64)
+        np.fill_diagonal(hops, 0)
+        return hops
 
     def _compute_route(self, src_node: int, dst_node: int) -> RouteInfo:
         if src_node == dst_node:
@@ -340,12 +357,25 @@ class DragonflyTopology(Topology):
     def deep_hops(self, node_a: int, node_b: int) -> int:
         return self.route_info(node_a, node_b).deep_hops
 
+    def hop_matrix(self) -> np.ndarray:
+        """Router hops from one uncached route per router pair.
+
+        A route's hop count depends only on its two routers, so the
+        first node of each router stands in for all of them.
+        """
+        first = [r * self.config.nodes_per_router for r in range(self.nrouters)]
+        by_router = np.array(
+            [[self._compute_route(a, b).hops for b in first] for a in first],
+            dtype=np.int64,
+        )
+        routers = np.asarray(self._router_of, dtype=np.int64)
+        return by_router[routers[:, None], routers[None, :]]
+
     def _compute_route(self, src_node: int, dst_node: int) -> RouteInfo:
         if src_node == dst_node:
             return RouteInfo((), 0, 0)
-        cfg = self.config
-        r = cfg.router_of_node(src_node)
-        s = cfg.router_of_node(dst_node)
+        r = self._router_of[src_node]
+        s = self._router_of[dst_node]
         path: List[int] = [self._link_index[("hub-out", src_node, r)]]
         hops = deep = 0
         if r != s:

@@ -193,8 +193,17 @@ class ScenarioSpec:
         return cls.from_dict(json.loads(text))
 
     def content_hash(self) -> str:
-        """sha256 of the canonical JSON — the spec's identity everywhere."""
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        """sha256 of the canonical JSON — the spec's identity everywhere.
+
+        Computed on the first call.  The spec is frozen, so the digest
+        cannot go stale; it lives in the instance ``__dict__``, not in a
+        dataclass field, so equality and ``repr`` see only the spec.
+        """
+        digest = self.__dict__.get("_content_hash")
+        if digest is None:
+            digest = hashlib.sha256(self.to_json().encode()).hexdigest()
+            self.__dict__["_content_hash"] = digest
+        return digest
 
     # -- files ------------------------------------------------------------------
 

@@ -9,6 +9,8 @@ content hashes, and every stochastic workload generator in
 ``repro.workloads`` is bit-identical per seed.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 
 from repro.harness.experiment import _script_cache, run_app
 from repro.harness.rankings import run_scenario_bench
+from repro.serving.store import resolve_workload
 from repro.workloads import plummer_bodies, uniform_bodies
 from repro.workloads.synth import (
     SCENARIO_CLASSES,
@@ -55,6 +58,31 @@ class TestSpecRoundTrip:
         assert text.endswith("\n")
         d = json.loads(text)
         assert text == json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_content_hash_computed_once(self, monkeypatch):
+        spec = small_spec("multi_front")
+        expect = hashlib.sha256(spec.to_json().encode()).hexdigest()
+        calls = []
+        to_json = ScenarioSpec.to_json
+        monkeypatch.setattr(
+            ScenarioSpec, "to_json", lambda self: calls.append(1) or to_json(self)
+        )
+        assert spec.content_hash() == expect
+        assert spec.content_hash() == expect
+        assert len(calls) == 1
+        # the memo sits outside the dataclass fields: equality, repr and
+        # the field list see only the spec
+        again = ScenarioSpec.from_json(to_json(spec))
+        assert again == spec and repr(again) == repr(spec)
+        assert "_content_hash" not in {f.name for f in dataclasses.fields(spec)}
+
+    def test_spec_path_rehashed_after_edit(self, tmp_path):
+        a = small_spec("multi_front", seed=1)
+        b = small_spec("multi_front", seed=2)
+        path = a.save(tmp_path / "spec.json")
+        assert resolve_workload("scenario", str(path)).content_hash() == a.content_hash()
+        b.save(path)
+        assert resolve_workload("scenario", str(path)).content_hash() == b.content_hash()
 
     def test_bad_version_rejected(self):
         d = json.loads(small_spec("multi_front").to_json())

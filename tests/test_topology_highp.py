@@ -10,6 +10,7 @@ covered by construction rather than by example.
 import pytest
 
 from repro.machine.config import MachineConfig
+from repro.machine.machine import Machine
 from repro.machine.topology import Topology
 
 POWERS = [2, 4, 8, 16, 32, 64, 128]
@@ -112,11 +113,16 @@ def test_link_ranks_strictly_increase(topo):
         assert len(set(ranks)) == len(ranks)
 
 
-def test_routing_tables_built_eagerly(topo):
-    """Power-of-two machines precompute the full node-pair table."""
-    assert len(topo._routes) == topo.nnodes * topo.nnodes
+@pytest.mark.parametrize("p", POWERS, ids=lambda p: f"P{p}")
+def test_routes_built_on_first_use(p):
+    """A fresh machine holds no routes; each pair is built once, then cached."""
+    topo = Machine(MachineConfig(nprocs=p)).topology
+    assert len(topo._routes) == 0
     # cached entries are returned by identity (cheap repeated lookups)
     assert topo.route(0, topo.nnodes - 1) is topo.route(0, topo.nnodes - 1)
+    for a, b in _pairs(topo):
+        topo.route_info(a, b)
+    assert len(topo._routes) == topo.nnodes * topo.nnodes
 
 
 def test_link_keys_stable_across_depths():
