@@ -81,18 +81,14 @@ def cost_ranges(costs: np.ndarray, nprocs: int) -> List[Tuple[int, int]]:
     n = len(costs)
     cum = np.cumsum(costs)
     total = cum[-1] if n else 0.0
-    ranges: List[Tuple[int, int]] = []
-    lo = 0
-    for p in range(nprocs):
-        if p == nprocs - 1:
-            hi = n
-        else:
-            target = total * (p + 1) / nprocs
-            hi = int(np.searchsorted(cum, target, side="left")) + 1
-            hi = max(lo, min(hi, n))
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
+    targets = total * np.arange(1, nprocs, dtype=np.float64) / nprocs
+    # each boundary is the first prefix reaching its target, capped at n;
+    # the running maximum keeps the ranges in order even for negative
+    # costs, whose prefix sums are unsorted
+    his = np.maximum.accumulate(
+        np.minimum(np.searchsorted(cum, targets, side="left") + 1, n)
+    ).tolist()
+    return list(zip([0] + his, his + [n]))
 
 
 def step_bodies(
@@ -109,17 +105,15 @@ def step_bodies(
     interaction counts, nodes created, visited node ids).  Positions are
     clipped to the unit square so the next tree build never overflows.
     ``nodes`` is the full tree's size, what this rank's build costs, even
-    when the host shares the tree with the step's other ranks.
+    when the host shares the tree with the step's other ranks.  The host
+    shares the forces too: the tree walks every body once
+    (:meth:`QuadTree.forces`) and each rank reads its slice.
     """
     tree, nodes = QuadTree.replicated(pos, mass)
-    counts = np.zeros(hi - lo)
-    acc = np.zeros((hi - lo, 2))
-    visited: set = set()
-    for j, i in enumerate(range(lo, hi)):
-        ax, ay, c = tree.accel(i, theta=cfg.theta, eps=cfg.eps, visited=visited)
-        acc[j] = (ax, ay)
-        counts[j] = c
-    new_vel = vel[lo:hi] + cfg.dt * acc
+    forces = tree.forces(cfg.theta, cfg.eps)
+    counts = forces.counts[lo:hi].copy()
+    visited = set(forces.visits_of(lo, hi).tolist())
+    new_vel = vel[lo:hi] + cfg.dt * forces.acc[lo:hi]
     new_pos = np.clip(pos[lo:hi] + cfg.dt * new_vel, 0.0, 1.0)
     return new_pos, new_vel, counts, nodes, visited
 

@@ -24,6 +24,9 @@ import functools
 import operator
 from typing import Any, Callable, Generator, List, Optional
 
+from repro.models.mpi.requests import Status
+from repro.models.payload import nbytes_of
+
 __all__ = [
     "barrier",
     "reduce_scatter",
@@ -94,24 +97,31 @@ def barrier(ctx) -> Generator:
 
 @_observed("bcast")
 def bcast(ctx, payload: Any, root: int = 0) -> Generator:
-    """Binomial-tree broadcast; every rank returns the payload."""
+    """Binomial-tree broadcast; every rank returns the payload.
+
+    The payload is sized once per rank: by the root, and by every other
+    rank from the received status, for all of its forwards.
+    """
     n = ctx.nprocs
     tag = ctx._next_coll_tag()
     if n == 1:
         return payload
     vrank = (ctx.rank - root) % n
+    nbytes = nbytes_of(payload) if vrank == 0 else 0
     mask = 1
     while mask < n:
         if vrank & mask:
             src = ((vrank ^ mask) + root) % n
-            payload = yield from ctx.recv(src, tag)
+            status = Status()
+            payload = yield from ctx.recv(src, tag, status)
+            nbytes = status.nbytes
             break
         mask <<= 1
     mask >>= 1
     while mask > 0:
         child = vrank + mask
         if child < n:
-            yield from ctx.send(payload, (child + root) % n, tag)
+            yield from ctx.send(payload, (child + root) % n, tag, nbytes)
         mask >>= 1
     return payload
 

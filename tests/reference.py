@@ -13,6 +13,11 @@
 * :func:`reference_canonical_json`, the store's canonical signature text
   by one recursive ``isinstance`` walk and a plain ``json.dumps``, which
   :func:`repro.serving.store.canonical_json` must agree with.
+* :func:`reference_accel`, the per-body scalar Barnes–Hut walk that
+  :meth:`repro.apps.nbody.tree.QuadTree.forces`'s all-body walk must
+  agree with bit for bit, and :func:`reference_cost_ranges`, the
+  boundary-by-boundary cost-zones split that
+  :func:`repro.apps.nbody.common.cost_ranges` must agree with.
 """
 
 from __future__ import annotations
@@ -122,3 +127,67 @@ def _reference_plain(value):
 def reference_canonical_json(obj) -> str:
     """Canonical JSON text: plain the whole value first, then dump it."""
     return json.dumps(_reference_plain(obj), sort_keys=True, separators=(",", ":"))
+
+
+def reference_accel(tree, i, theta=0.7, eps=1e-3, visited=None):
+    """Acceleration on body ``i`` by one stack walk; (ax, ay, interactions).
+
+    Children are pushed in reverse so they pop in quadrant order (a
+    preorder walk), a leaf's bodies are taken in sorted id order, and the
+    sums run left to right from ``0.0``. Adds each visited node to
+    ``visited``.
+    """
+    xi, yi = float(tree.pos[i, 0]), float(tree.pos[i, 1])
+    ax = ay = 0.0
+    count = 0
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        if visited is not None:
+            visited.add(node)
+        m = tree.mass[node]
+        if m == 0.0:
+            continue
+        dx = tree.comx[node] - xi
+        dy = tree.comy[node] - yi
+        dist2 = dx * dx + dy * dy
+        if tree.children[node] is None:
+            for b in sorted(tree.bodies[node]):
+                if b == i:
+                    continue
+                bx = float(tree.pos[b, 0]) - xi
+                by = float(tree.pos[b, 1]) - yi
+                r2 = bx * bx + by * by + eps * eps
+                w = float(tree.m[b]) / (r2 * np.sqrt(r2))
+                ax += w * bx
+                ay += w * by
+                count += 1
+        elif (2 * tree.half[node]) ** 2 < theta * theta * dist2:
+            r2 = dist2 + eps * eps
+            w = m / (r2 * np.sqrt(r2))
+            ax += w * dx
+            ay += w * dy
+            count += 1
+        else:
+            stack.extend(reversed(tree.children[node]))
+    return ax, ay, count
+
+
+def reference_cost_ranges(costs, nprocs):
+    """Cost-zones split one boundary at a time: ``nprocs`` (lo, hi) ranges."""
+    costs = np.asarray(costs, dtype=np.float64)
+    n = len(costs)
+    cum = np.cumsum(costs)
+    total = cum[-1] if n else 0.0
+    ranges = []
+    lo = 0
+    for p in range(nprocs):
+        if p == nprocs - 1:
+            hi = n
+        else:
+            target = total * (p + 1) / nprocs
+            hi = int(np.searchsorted(cum, target, side="left")) + 1
+            hi = max(lo, min(hi, n))
+        ranges.append((lo, hi))
+        lo = hi
+    return ranges

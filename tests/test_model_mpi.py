@@ -199,6 +199,37 @@ class TestCollectives:
         res = run_mpi(program, n)
         assert res.rank_results == ["payload"] * n
 
+    @pytest.mark.parametrize("n", (2, 5, 8, 13))
+    @pytest.mark.parametrize("split", (False, True))
+    def test_bcast_sizes_payload_once(self, n, split, monkeypatch):
+        """The root sizes the payload; every forward reuses the received size."""
+        from repro.models import payload
+        from repro.models.mpi import collectives, context
+
+        from tests.reference import reference_nbytes
+
+        value = [{"lo": i, "pos": np.zeros((i + 1, 2))} for i in range(n)]
+        sized = []
+
+        def counted(obj):
+            sized.append(obj is value)
+            return payload.nbytes_of(obj)
+
+        monkeypatch.setattr(collectives, "nbytes_of", counted)
+        monkeypatch.setattr(context, "nbytes_of", counted)
+
+        def program(ctx):
+            # a split keeping world order sends through MpiComm.recv/send
+            comm = (yield from ctx.comm_split(0, ctx.rank)) if split else ctx
+            sent = ctx.stats.bytes_sent
+            got = yield from comm.bcast(value if ctx.rank == 0 else None, root=0)
+            return got is not None and len(got), ctx.stats.bytes_sent - sent
+
+        res = run_mpi(program, n)
+        assert [r[0] for r in res.rank_results] == [n] * n
+        assert sum(r[1] for r in res.rank_results) == (n - 1) * reference_nbytes(value)
+        assert sum(sized) == 1
+
     @pytest.mark.parametrize("n", NPROC_SET)
     def test_reduce_sum(self, n):
         def program(ctx):
