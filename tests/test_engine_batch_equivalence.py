@@ -18,7 +18,8 @@ Locked quantities, all bit-identical (no tolerance):
 * per-rank program results,
 * for the ``contended-net`` rows, every link's bytes, acquires, claim
   waits, queued ns and busy ns,
-* for the P=12 ``engine`` rows and ``mpi-waits``, the engine's seq count.
+* for the P=12 ``engine`` rows, ``mpi-waits``, the ``contended-net`` rows
+  and the ``nbody-shmem`` rows, the engine's seq count.
 
 P=64 and P=128 rows carry the ``nightly`` marker.
 """

@@ -53,9 +53,11 @@ Cases:
 * ``adapt3d/<model>/<P>``: the 3-D application on the default
   ``Adapt3DConfig`` under every model at P=8, traced.
 
-The P=12 ``engine`` rows and the ``mpi-waits`` rows also record the
-engine's ``seq`` count (``Engine.counters()["events"]``): a runtime that
-folds coroutine steps into timers must allocate the same seqs.
+The P=12 ``engine`` rows, the ``mpi-waits`` rows, the ``contended-net``
+rows and the ``nbody-shmem`` rows also record the engine's ``seq`` count
+(``Engine.counters()["events"]``): a runtime that folds coroutine steps
+into timers, or a timer transfer that queues on busy links, must
+allocate the same seqs.
 
 Re-run only when an intentional simulated-time change lands (and say so
 in the commit):
@@ -451,6 +453,8 @@ def cases() -> List[str]:
 SEQ_CASES = frozenset(
     [f"engine/{m}-{p}" for m in ENGINE_ODD_MODELS for p in ENGINE_ODD_PROCS]
     + [f"mpi-waits/{p}" for p in MPI_WAITS_PROCS]
+    + [f"contended-net/{m}/{p}" for m in CONTENDED_MODELS for p in CONTENDED_PROCS]
+    + [f"nbody-shmem/{p}" for p in NBODY_PROCS]
 )
 
 
