@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,12 +61,33 @@ def morton_order(pos: np.ndarray, bits: int = 10) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def initial_bodies(cfg: NBodyConfig) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bodies in Morton order (spatially sorted), deterministically."""
-    gen = plummer_bodies if cfg.distribution == "plummer" else uniform_bodies
-    pos, vel, mass = gen(cfg.n, seed=cfg.seed)
-    order = morton_order(pos)
-    return pos[order], vel[order], mass[order]
+#: ``(machine ref, key, (pos, vel, mass))`` of the last shared build
+_last_bodies: Optional[tuple] = None
+
+
+def initial_bodies(
+    cfg: NBodyConfig, machine: Any = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bodies in Morton order (spatially sorted), deterministically.
+
+    Every rank of a run asks for the same bodies.  Given the run's
+    ``machine``, the most recent run's arrays are kept and each caller
+    gets fresh copies (programs write into theirs in place), so a run
+    builds them once; without one, every call builds them.
+    """
+    global _last_bodies
+    key = (cfg.distribution, cfg.n, cfg.seed)
+    last = _last_bodies
+    if machine is None or last is None or last[0]() is not machine or last[1] != key:
+        gen = plummer_bodies if cfg.distribution == "plummer" else uniform_bodies
+        pos, vel, mass = gen(cfg.n, seed=cfg.seed)
+        order = morton_order(pos)
+        bodies = (pos[order], vel[order], mass[order])
+        if machine is None:
+            return bodies
+        last = _last_bodies = (weakref.ref(machine), key, bodies)
+    pos, vel, mass = last[2]
+    return pos.copy(), vel.copy(), mass.copy()
 
 
 def cost_ranges(costs: np.ndarray, nprocs: int) -> List[Tuple[int, int]]:

@@ -24,7 +24,7 @@ def nbody_mpi(ctx, cfg: NBodyConfig) -> Generator:
     """One rank of the MPI N-body; returns the global checksum."""
     mcfg = ctx.machine.config
     me = ctx.rank
-    pos, vel, mass = initial_bodies(cfg)
+    pos, vel, mass = initial_bodies(cfg, ctx.machine)
     costs = np.ones(cfg.n)
 
     for _step in range(cfg.steps):

@@ -28,7 +28,7 @@ def nbody_sas(ctx, cfg: NBodyConfig) -> Generator:
     """One rank of the CC-SAS N-body; returns the global checksum."""
     mcfg = ctx.machine.config
     me = ctx.rank
-    pos0, vel0, mass = initial_bodies(cfg)
+    pos0, vel0, mass = initial_bodies(cfg, ctx.machine)
     sh_pos = ctx.shalloc("pos", (cfg.n * 2,), np.float64)
     sh_vel = ctx.shalloc("vel", (cfg.n * 2,), np.float64)
     sh_cost = ctx.shalloc("cost", (cfg.n,), np.float64)

@@ -21,7 +21,7 @@ def nbody_shmem(ctx, cfg: NBodyConfig) -> Generator:
     """One rank of the SHMEM N-body; returns the global checksum."""
     mcfg = ctx.machine.config
     me = ctx.rank
-    pos0, vel0, mass = initial_bodies(cfg)
+    pos0, vel0, mass = initial_bodies(cfg, ctx.machine)
     # symmetric body arrays: each rank's copy is kept fully up to date
     sym_pos = ctx.salloc("pos", (cfg.n * 2,), np.float64)
     sym_vel = ctx.salloc("vel", (cfg.n * 2,), np.float64)
@@ -57,9 +57,11 @@ def nbody_shmem(ctx, cfg: NBodyConfig) -> Generator:
 
         ctx.phase_begin("exchange")
         # push my slice into everyone's symmetric copies (self included)
+        new_pos = new_pos.ravel()
+        new_vel = new_vel.ravel()
         for dst in range(ctx.nprocs):
-            yield from ctx.put(sym_pos, dst, new_pos.ravel(), offset=lo * 2)
-            yield from ctx.put(sym_vel, dst, new_vel.ravel(), offset=lo * 2)
+            yield from ctx.put(sym_pos, dst, new_pos, offset=lo * 2)
+            yield from ctx.put(sym_vel, dst, new_vel, offset=lo * 2)
             yield from ctx.put(sym_cost, dst, my_costs, offset=lo)
         yield from ctx.barrier_all()
         ctx.phase_end()

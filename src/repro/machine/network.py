@@ -206,13 +206,14 @@ class Network:
     ) -> bool:
         """Timer path: deliver ``on_delivered(arg)`` without a transfer coroutine.
 
-        The transfer is started by a zero-delay timer
-        (:meth:`_start_transfer`) that occupies exactly the seq slot an
-        ``engine.spawn`` start entry of the caller's transfer generator
-        would, so completion ties between concurrent transfers order
-        identically either way.  At that slot the route's links are
-        claimed in order; a busy link queues a callback waiter in its
-        FIFO, and :meth:`Resource.release` resumes the claim with the one
+        The transfer is one :class:`_Transfer` record, started by a
+        zero-delay engine handoff (:meth:`_start_transfer`) that occupies
+        exactly the seq slot an ``engine.spawn`` start entry of the
+        caller's transfer generator would, so completion ties between
+        concurrent transfers order identically either way.  At that slot
+        the route's links are claimed in order; a busy link queues the
+        record's continuation as a callback waiter in its FIFO, and
+        :meth:`Resource.release` resumes the claim with the one
         zero-delay entry a blocked coroutine's wake would take.  Once the
         whole route is held, one arrival timer completes the transfer.
         Returns ``False`` without side effects when the caller must spawn
@@ -223,93 +224,98 @@ class Network:
             return False
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
-        self.engine.call_after(
-            0.0, self._start_transfer, (src_node, dst_node, nbytes, on_delivered, arg)
-        )
+        engine = self.engine
+        engine.timer_calls += 1
+        engine.handoff((
+            self._start_transfer,
+            (_Transfer(src_node, dst_node, nbytes, on_delivered, arg, engine.now),),
+        ))
         return True
 
-    def _start_transfer(
-        self, src_node, dst_node, nbytes, on_delivered, arg, wait=None
-    ) -> None:
-        """Zero-delay timer leg of :meth:`transfer_async` (spawn-slot parity).
+    def _start_transfer(self, xfer: "_Transfer") -> None:
+        """Start-slot leg of :meth:`transfer_async`, and its link-wait continuation.
 
-        Also the link-wait continuation: a busy link ``k`` queues this
-        method with ``wait = (t0, k, queued_at)``, and once the link is
-        handed over the claim resumes at link ``k + 1`` — the steps,
-        counters and seqs of :meth:`transfer`'s per-link ``Resource.acquire``
-        loop.  One entry point for both keeps all of a timer transfer's
-        host work inside its three timer legs, where a host-time tracer
-        hooking them (``bench/trace.py``) finds it.
+        Claims the route's links from ``xfer.next`` on, the steps, counters
+        and seqs of :meth:`transfer`'s per-link ``Resource.acquire`` loop.
+        A busy link queues this method again with the record, and once the
+        link is handed over the claim resumes at the next one.  One entry
+        point for both keeps all of a timer transfer's host work inside its
+        three timer legs, where a host-time tracer hooking them
+        (``bench/trace.py``) finds it.
         """
         engine = self.engine
         now = engine.now
-        if wait is None:
-            self.stats.network_messages += 1
-            if src_node == dst_node:
+        resources = xfer.resources
+        if resources is None:
+            # the start slot
+            stats = self.stats
+            stats.network_messages += 1
+            nbytes = xfer.nbytes
+            if xfer.src == xfer.dst:
                 self.batch_fast_transfers += 1
                 self.timer_fast_transfers += 1
                 engine.call_after(
-                    nbytes / self.config.intra_node_copy_bpns,
-                    self._finish_local,
-                    (now, src_node, dst_node, nbytes, on_delivered, arg),
+                    nbytes / self.config.intra_node_copy_bpns, self._finish_local, (xfer,)
                 )
                 return
-            self.stats.network_bytes += nbytes
-            resources, _hops, static_ns, link_idxs = self._route_entry(src_node, dst_node)
+            stats.network_bytes += nbytes
+            resources, _hops, xfer.static_ns, link_idxs = self._route_entry(
+                xfer.src, xfer.dst
+            )
+            xfer.resources = resources
             if self.link_bytes is not None:
+                link_bytes = self.link_bytes
                 for i in link_idxs:
-                    self.link_bytes[i] += nbytes
-            t0 = now
-            first = 0
+                    link_bytes[i] += nbytes
+            k = 0
         else:
-            # Resource.release just handed over link ``held``
-            resources, _hops, static_ns, _ = self._route_entry(src_node, dst_node)
-            t0, held, queued_at = wait
-            resources[held].total_wait_ns += now - queued_at
-            first = held + 1
-        for k in range(first, len(resources)):
+            # Resource.release just handed over link ``xfer.next``
+            k = xfer.next
+            resources[k].total_wait_ns += now - xfer.queued_at
+            k += 1
+        for k in range(k, len(resources)):
             r = resources[k]
             r.total_acquires += 1
-            if r.in_use < r.capacity and not r._waiters:
-                r._account()
-                r.in_use += 1
-            else:
+            # a link has capacity 1, and a link nobody holds has no waiters
+            if r.in_use:
                 r.waited_acquires += 1
-                r._waiters.append((
-                    self._start_transfer,
-                    (src_node, dst_node, nbytes, on_delivered, arg, (t0, k, now)),
-                ))
+                xfer.next = k
+                xfer.queued_at = now
+                r._waiters.append((self._start_transfer, (xfer,)))
                 return
-        if wait is None:
+            # claiming a free link adds no busy time
+            r._last_change = now
+            r.in_use = 1
+        if xfer.queued_at is None:
             # every link was free at the start slot
             self.batch_fast_transfers += 1
         self.timer_fast_transfers += 1
         engine.call_after(
-            static_ns + nbytes / self.config.link_bandwidth_bpns,
+            xfer.static_ns + xfer.nbytes / self.config.link_bandwidth_bpns,
             self._finish_remote,
-            (t0, resources, src_node, dst_node, nbytes, on_delivered, arg),
+            (xfer,),
         )
 
-    def _finish_local(self, t0, src_node, dst_node, nbytes, on_delivered, arg) -> None:
+    def _finish_local(self, xfer: "_Transfer") -> None:
         if self.obs.enabled:
-            self.obs.emit(
-                "net", t0, src_node, dst_node, nbytes, dur=self.engine.now - t0
-            )
-        on_delivered(arg)
+            self._emit_net(xfer)
+        xfer.on_delivered(xfer.arg)
 
-    def _finish_remote(
-        self, t0, resources, src_node, dst_node, nbytes, on_delivered, arg
-    ) -> None:
+    def _finish_remote(self, xfer: "_Transfer") -> None:
         # same completion order as the generator path: release the route
         # (FIFO handoff to any waiter that queued up mid-flight), then the
         # observation, then the delivery callback
-        for r in reversed(resources):
+        for r in reversed(xfer.resources):
             r.release()
         if self.obs.enabled:
-            self.obs.emit(
-                "net", t0, src_node, dst_node, nbytes, dur=self.engine.now - t0
-            )
-        on_delivered(arg)
+            self._emit_net(xfer)
+        xfer.on_delivered(xfer.arg)
+
+    def _emit_net(self, xfer: "_Transfer") -> None:
+        t0 = xfer.t0
+        self.obs.emit(
+            "net", t0, xfer.src, xfer.dst, xfer.nbytes, dur=self.engine.now - t0
+        )
 
     def link_utilisations(self) -> List[float]:
         """Per-link utilisation over the run so far (diagnostics)."""
@@ -360,3 +366,28 @@ class Network:
                 )
             )
         return out
+
+
+class _Transfer:
+    """One in-flight :meth:`Network.transfer_async` transfer.
+
+    ``resources`` is ``None`` until the start slot resolves the route
+    (and sets ``static_ns``); ``next`` is the link the claim waits on and
+    ``queued_at`` when it began waiting (``None`` while no link has been
+    busy).
+    """
+
+    __slots__ = (
+        "src", "dst", "nbytes", "on_delivered", "arg", "t0",
+        "resources", "static_ns", "next", "queued_at",
+    )
+
+    def __init__(self, src: int, dst: int, nbytes: int, on_delivered, arg, t0: float):
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.on_delivered = on_delivered
+        self.arg = arg
+        self.t0 = t0
+        self.resources: Optional[Tuple[Resource, ...]] = None
+        self.queued_at: Optional[float] = None

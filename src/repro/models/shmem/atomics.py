@@ -55,7 +55,7 @@ def fetch_add(ctx, sym, target_rank: int, index: int, value) -> Generator:
     """Atomic fetch-and-add on ``sym[index]`` at ``target_rank``; returns old."""
     t0 = ctx.now
     yield from _round_trip(ctx, target_rank)
-    flat = sym.copies[target_rank].reshape(-1)
+    flat = sym.flat[target_rank]
     old = flat[index].item() if hasattr(flat[index], "item") else flat[index]
     flat[index] += value
     if ctx._obs.enabled:
@@ -71,7 +71,7 @@ def cswap(ctx, sym, target_rank: int, index: int, cond, value) -> Generator:
     """Atomic compare-and-swap; returns the value observed before the swap."""
     t0 = ctx.now
     yield from _round_trip(ctx, target_rank)
-    flat = sym.copies[target_rank].reshape(-1)
+    flat = sym.flat[target_rank]
     old = flat[index].item() if hasattr(flat[index], "item") else flat[index]
     if old == cond:
         flat[index] = value

@@ -120,6 +120,8 @@ class ShmemContext(BaseContext):
         self.cfg = machine.config
         self._outstanding: List[Event] = []
         self._coll_seq = 0
+        # the issue cost of every put and iput, one shared request
+        self._op_delay = Delay(self.cfg.shmem_op_ns)
 
     # -- loss recovery -------------------------------------------------------
 
@@ -190,94 +192,82 @@ class ShmemContext(BaseContext):
         """
         if not 0 <= target_rank < self.nprocs:
             raise ValueError(f"bad target rank {target_rank}")
-        data = np.ascontiguousarray(data, dtype=sym.dtype)
+        data = np.ascontiguousarray(data, dtype=sym.dtype).reshape(-1)
+        count = data.size
+        dest = sym.flat[target_rank]
+        if offset < 0 or offset + count > dest.size:
+            raise IndexError(
+                f"put of {count} elems at offset {offset} overflows {sym.name!r}"
+                f" (size {dest.size})"
+            )
         nbytes = int(data.nbytes)
         self.stats.puts += 1
         self.stats.put_bytes += nbytes
         if self._obs.enabled:
             self._obs.emit(
                 "put", self.now, self.rank, target_rank, nbytes,
-                attrs={"sym": sym.name, "lo": offset, "hi": offset + int(data.size)},
+                attrs={"sym": sym.name, "lo": offset, "hi": offset + count},
             )
-        yield from self.charged_delay("comm", self.cfg.shmem_op_ns)
+        cfg = self.cfg
+        self._charge("comm", cfg.shmem_op_ns)
+        yield self._op_delay
         snapshot = data.copy()  # source buffer reusable after return
         if target_rank == self.rank:
-            yield from self.charged_delay("comm", nbytes / self.cfg.shmem_copy_bpns)
-            self._store(sym, self.rank, snapshot, offset)
+            copy_ns = nbytes / cfg.shmem_copy_bpns
+            self._charge("comm", copy_ns)
+            yield Delay(copy_ns)
+            dest[offset : offset + count] = snapshot
             if self._obs.enabled:
                 self._obs.emit(
                     "put_done", self.now, self.rank, self.rank, nbytes,
-                    attrs={"sym": sym.name, "lo": offset, "hi": offset + int(snapshot.size)},
+                    attrs={"sym": sym.name, "lo": offset, "hi": offset + count},
                 )
             return
-        done = self.machine.engine.event(name=f"put:{self.rank}->{target_rank}")
+        engine = self.machine.engine
+        done = Event(engine, "shmem-put")
         self._outstanding.append(done)
         # timer path: deliver by network callback instead of spawning a
         # per-put coroutine; transfer_async keeps spawn-slot seq parity, so
         # the simulated timeline is bit-identical (see Network.transfer_async)
+        arg = (sym, target_rank, snapshot, offset, done)
         if not self.machine.network.transfer_async(
-            self.node,
-            self.cfg.node_of_cpu(target_rank),
-            nbytes,
-            self._put_delivered,
-            (sym, target_rank, snapshot, offset, nbytes, done),
+            self.node, target_rank // cfg.cpus_per_node, nbytes, self._put_delivered, arg
         ):
-            self.machine.engine.spawn(
-                self._put_transfer(sym, target_rank, snapshot, offset, nbytes, done),
+            engine.spawn(
+                self._verified_transfer("put", target_rank, nbytes, self._put_delivered, arg),
                 name=f"shmem-put:{self.rank}->{target_rank}",
             )
 
     def _put_delivered(self, arg) -> None:
-        """Delivery callback for the ``transfer_async`` put path."""
-        sym, target_rank, snapshot, offset, nbytes, done = arg
-        self._store(sym, target_rank, snapshot, offset)
+        """Write a delivered put into the target's copy and complete it."""
+        sym, target_rank, snapshot, offset, done = arg
+        count = snapshot.size
+        sym.flat[target_rank][offset : offset + count] = snapshot
         if self._obs.enabled:
             self._obs.emit(
-                "put_done", self.now, self.rank, target_rank, nbytes,
-                attrs={"sym": sym.name, "lo": offset, "hi": offset + int(snapshot.size)},
+                "put_done", self.now, self.rank, target_rank, int(snapshot.nbytes),
+                attrs={"sym": sym.name, "lo": offset, "hi": offset + count},
             )
         done.fire()
 
-    def _put_transfer(
-        self,
-        sym: SymmetricArray,
-        target_rank: int,
-        snapshot: np.ndarray,
-        offset: int,
-        nbytes: int,
-        done: Event,
+    def _verified_transfer(
+        self, what: str, target_rank: int, nbytes: int, deliver, arg
     ) -> Generator:
-        target_node = self.cfg.node_of_cpu(target_rank)
-        if self.machine.faults.enabled:
-            # delivery-verified put: data leg + ack leg, retried on loss,
-            # so `done` (and hence quiet/fence) means the data arrived
-            yield from self._with_retries(
-                [
-                    (self.node, target_node, nbytes),
-                    (target_node, self.node, self.machine.faults.profile.ack_bytes),
-                ],
-                "put", target_rank, nbytes,
-            )
-        else:
-            yield from self.machine.network.transfer(self.node, target_node, nbytes)
-        self._store(sym, target_rank, snapshot, offset)
-        if self._obs.enabled:
-            self._obs.emit(
-                "put_done", self.now, self.rank, target_rank, nbytes,
-                attrs={"sym": sym.name, "lo": offset, "hi": offset + int(snapshot.size)},
-            )
-        done.fire()
+        """Spawned put/iput transfer, for a machine whose fault plane is active.
 
-    @staticmethod
-    def _store(sym: SymmetricArray, rank: int, data: np.ndarray, offset: int) -> None:
-        flat = sym.copies[rank].reshape(-1)
-        count = data.size
-        if offset < 0 or offset + count > flat.size:
-            raise IndexError(
-                f"put of {count} elems at offset {offset} overflows {sym.name!r}"
-                f" (size {flat.size})"
-            )
-        flat[offset : offset + count] = data.reshape(-1)
+        Delivery-verified: data leg + ack leg, retried on loss, so the
+        put's completion event (and hence quiet/fence) means the data
+        arrived.  Then ``deliver(arg)``, as ``transfer_async`` would.
+        """
+        target_node = self.cfg.node_of_cpu(target_rank)
+        yield from self._with_retries(
+            [
+                (self.node, target_node, nbytes),
+                (target_node, self.node, self.machine.faults.profile.ack_bytes),
+            ],
+            what, target_rank, nbytes,
+        )
+        deliver(arg)
 
     def get(
         self,
@@ -289,7 +279,7 @@ class ShmemContext(BaseContext):
         """Blocking read of ``count`` elements from ``sym`` on ``source_rank``."""
         if not 0 <= source_rank < self.nprocs:
             raise ValueError(f"bad source rank {source_rank}")
-        flat = sym.copies[source_rank].reshape(-1)
+        flat = sym.flat[source_rank]
         if count is None:
             count = flat.size - offset
         if offset < 0 or offset + count > flat.size:
@@ -455,7 +445,7 @@ class ShmemContext(BaseContext):
             return
         data = np.ascontiguousarray(data, dtype=sym.dtype)
         count = int(data.size)
-        flat = sym.copies[target_rank].reshape(-1)
+        flat = sym.flat[target_rank]
         last = offset + (count - 1) * target_stride if count else offset
         if offset < 0 or last >= flat.size:
             raise IndexError(
@@ -470,7 +460,8 @@ class ShmemContext(BaseContext):
                 attrs={"sym": sym.name, "lo": offset, "hi": last + 1,
                        "stride": target_stride},
             )
-        yield from self.charged_delay("comm", self.cfg.shmem_op_ns)
+        self._charge("comm", self.cfg.shmem_op_ns)
+        yield self._op_delay
         snapshot = data.copy()
         indices = offset + np.arange(count) * target_stride
         # strided remote stores: one line-granular transfer per element
@@ -486,44 +477,19 @@ class ShmemContext(BaseContext):
             return
         done = self.machine.engine.event(name=f"iput:{self.rank}->{target_rank}")
         self._outstanding.append(done)
+        arg = (sym, target_rank, snapshot, indices, done)
         if not self.machine.network.transfer_async(
-            self.node,
-            self.cfg.node_of_cpu(target_rank),
-            nbytes,
-            self._iput_delivered,
-            (sym, target_rank, snapshot, indices, done),
+            self.node, self.cfg.node_of_cpu(target_rank), nbytes, self._iput_delivered, arg
         ):
             self.machine.engine.spawn(
-                self._iput_transfer(sym, target_rank, snapshot, indices, nbytes, done),
+                self._verified_transfer("iput", target_rank, nbytes, self._iput_delivered, arg),
                 name=f"shmem-iput:{self.rank}->{target_rank}",
             )
 
     def _iput_delivered(self, arg) -> None:
-        """Delivery callback for the ``transfer_async`` iput path."""
+        """Write a delivered strided put into the target's copy and complete it."""
         sym, target_rank, snapshot, indices, done = arg
-        sym.copies[target_rank].reshape(-1)[indices] = snapshot.reshape(-1)
-        if self._obs.enabled:
-            self._obs.emit(
-                "put_done", self.now, self.rank, target_rank,
-                int(snapshot.size) * sym.itemsize,
-                attrs={"sym": sym.name, "lo": int(indices[0]) if indices.size else 0,
-                       "hi": (int(indices[-1]) + 1) if indices.size else 0},
-            )
-        done.fire()
-
-    def _iput_transfer(self, sym, target_rank, snapshot, indices, nbytes, done) -> Generator:
-        target_node = self.cfg.node_of_cpu(target_rank)
-        if self.machine.faults.enabled:
-            yield from self._with_retries(
-                [
-                    (self.node, target_node, nbytes),
-                    (target_node, self.node, self.machine.faults.profile.ack_bytes),
-                ],
-                "iput", target_rank, nbytes,
-            )
-        else:
-            yield from self.machine.network.transfer(self.node, target_node, nbytes)
-        sym.copies[target_rank].reshape(-1)[indices] = snapshot.reshape(-1)
+        sym.flat[target_rank][indices] = snapshot.reshape(-1)
         if self._obs.enabled:
             self._obs.emit(
                 "put_done", self.now, self.rank, target_rank,
@@ -544,7 +510,7 @@ class ShmemContext(BaseContext):
         """Strided blocking get of ``count`` elements (``shmem_iget``)."""
         if source_stride < 1 or count < 0:
             raise ValueError(f"bad iget args stride={source_stride} count={count}")
-        flat = sym.copies[source_rank].reshape(-1)
+        flat = sym.flat[source_rank]
         last = offset + (count - 1) * source_stride if count else offset
         if offset < 0 or (count and last >= flat.size):
             raise IndexError(

@@ -25,13 +25,17 @@ class SymmetricArray:
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
         self.copies: List[np.ndarray] = []
+        #: 1-D views of ``copies``, the buffers puts, gets and atomics address
+        self.flat: List[np.ndarray] = []
         self.itemsize = self.dtype.itemsize
         nbytes = max(int(np.prod(self.shape)) * self.itemsize, 1)
         self.nbytes = nbytes
         for rank in range(nprocs):
             addr = machine.memory.alloc(nbytes, page_aligned=True)
             machine.memory.place(addr, nbytes, machine.config.node_of_cpu(rank))
-            self.copies.append(np.zeros(self.shape, dtype=self.dtype))
+            copy = np.zeros(self.shape, dtype=self.dtype)
+            self.copies.append(copy)
+            self.flat.append(copy.reshape(-1))
 
     def local(self, rank: int) -> np.ndarray:
         """This rank's copy (ordinary local memory to compute on)."""

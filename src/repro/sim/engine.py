@@ -44,7 +44,9 @@ across all programming models at P up to 128.
 callback instead of resuming a coroutine.  The machine layers use it to
 run network transfers, contended ones included, without paying a full
 ``Process`` (generator frames, end event, two heap round-trips) per
-in-flight message.
+in-flight message.  :meth:`Engine.handoff` is its zero-delay form, the
+one zero-lane entry that starts a timer transfer and hands a released
+link to a callback waiter.
 
 An :class:`Event` waiter is a process or a *callback waiter*, an
 ``(fn, args)`` pair that :meth:`Event.fire` runs as ``fn(*args, value)``
@@ -138,13 +140,15 @@ class Event:
             raise SimError(f"event {self.name!r} fired twice")
         self.fired = True
         self.value = value
-        waiters, self._waiters = self._waiters, []
-        schedule = self.engine._schedule
-        for waiter in waiters:
-            if type(waiter) is tuple:
-                schedule(0.0, None, (waiter[0], waiter[1] + (value,)))
-            else:
-                schedule(0.0, waiter, value)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            schedule = self.engine._schedule
+            for waiter in waiters:
+                if type(waiter) is tuple:
+                    schedule(0.0, None, (waiter[0], waiter[1] + (value,)))
+                else:
+                    schedule(0.0, waiter, value)
         if self.reusable:
             self.fired = False
 
@@ -489,6 +493,16 @@ class Engine:
         self.timer_calls += 1
         self._schedule(delay, None, (fn, args))
 
+    def handoff(self, timer: Tuple[Callable, tuple]) -> None:
+        """Run ``fn(*args)`` of ``timer = (fn, args)`` now, after the entries already due.
+
+        The zero-delay entry of ``_schedule(0.0, None, timer)``: it takes
+        the next seq and joins the zero lane.  It is not counted in
+        ``timer_calls``; a caller that stands for a timer counts it there.
+        """
+        self._seq += 1
+        self._zero.append((None, timer))
+
     def _step(self, proc: Process, value: Any) -> None:
         if proc.finished:
             raise SimError(f"resuming finished process {proc.name!r}")
@@ -507,7 +521,11 @@ class Engine:
             self._live -= 1
             self._error = exc
             raise
-        self._dispatch(proc, request)
+        if type(request) is Delay:
+            proc._blocked_on = "delay"
+            self._schedule(request.ns, proc, None)
+        else:
+            self._dispatch(proc, request)
 
     def _dispatch(self, proc: Process, request: Any) -> None:
         if type(request) is Delay or isinstance(request, Delay):

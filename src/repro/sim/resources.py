@@ -26,8 +26,9 @@ class Resource:
     The FIFO also holds *callback waiters*: ``(fn, args)`` pairs queued by
     callers that claim units inline (:class:`repro.machine.network.Network`).
     :meth:`release` hands one the unit by running ``fn(*args)`` from one
-    zero-delay engine entry, the single ``seq`` a blocked acquirer's wake
-    takes; the callback adds its queued time to ``total_wait_ns`` itself.
+    :meth:`Engine.handoff` entry, the single ``seq`` a blocked acquirer's
+    wake takes; the callback adds its queued time to ``total_wait_ns``
+    itself.
     """
 
     def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
@@ -67,18 +68,21 @@ class Resource:
         self.total_wait_ns += self.engine.now - start
 
     def release(self) -> None:
-        if self.in_use <= 0:
+        in_use = self.in_use
+        if in_use <= 0:
             raise SimError(f"release of idle resource {self.name!r}")
-        self._account()
+        now = self.engine.now
+        self.busy_ns += in_use * (now - self._last_change)
+        self._last_change = now
         if self._waiters:
             # hand the unit directly to the next waiter: in_use stays flat
             waiter = self._waiters.popleft()
             if type(waiter) is tuple:
-                self.engine._schedule(0.0, None, waiter)
+                self.engine.handoff(waiter)
             else:
                 waiter.fire()
         else:
-            self.in_use -= 1
+            self.in_use = in_use - 1
 
     def using(self, hold_ns: float) -> Generator:
         """Acquire, hold for ``hold_ns``, release — the common pattern."""

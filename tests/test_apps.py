@@ -14,6 +14,7 @@ from repro.apps.jacobi import reference_checksum as jacobi_ref
 from repro.apps.nbody import NBODY_PROGRAMS, NBodyConfig
 from repro.apps.nbody.common import cost_ranges, reference_checksum as nbody_ref
 from repro.apps.nbody.tree import QuadTree
+from repro.machine import Machine, MachineConfig
 from repro.models.registry import run_program
 from repro.workloads.plummer import plummer_bodies
 from tests.reference import assert_matches_recording
@@ -244,6 +245,31 @@ class TestNBody:
     def test_timeline_matches_recording(self, model, nprocs):
         """Simulated time, stats and results equal ``tests/golden/timelines.json``."""
         assert_matches_recording(f"nbody-{model}/{nprocs}")
+
+    def test_initial_bodies_shared_per_run_as_copies(self):
+        """One build per run: each caller gets equal copies it may write into."""
+        from repro.apps.nbody import common
+        from repro.apps.nbody.common import initial_bodies
+
+        cfg = NBodyConfig(n=64, steps=1, seed=3)
+        machine = Machine(MachineConfig(nprocs=4))
+        fresh = initial_bodies(cfg)
+        first = initial_bodies(cfg, machine)
+        for got, want in zip(first, fresh):
+            assert got.tobytes() == want.tobytes()
+        for arr in first:
+            arr[...] = -1.0
+        second = initial_bodies(cfg, machine)
+        for got, want in zip(second, fresh):
+            assert got.tobytes() == want.tobytes()
+        assert common._last_bodies[0]() is machine
+        # a different run, or a different config, builds again
+        other = initial_bodies(cfg, Machine(MachineConfig(nprocs=4)))
+        assert common._last_bodies[0]() is not machine
+        assert other[0].tobytes() == fresh[0].tobytes()
+        uniform_cfg = NBodyConfig(n=64, steps=1, seed=3, distribution="uniform")
+        uniform = initial_bodies(uniform_cfg, machine)
+        assert uniform[0].tobytes() != fresh[0].tobytes()
 
     def test_plummer_cost_imbalanced_without_costzones(self):
         """Central bodies cost more — the adaptivity the app must handle."""

@@ -1,6 +1,8 @@
 """Unit tests for the contended interconnect."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine import Machine, MachineConfig
 
@@ -171,3 +173,70 @@ def test_finished_transfer_releases_its_route_in_reverse():
     assert log == [("a", t_a), ("c", t_bc), ("b", t_bc)]
     assert _link(m, "hub-out", 0, 0).queued_ns == t_a - 1.0
     assert _link(m, "hub-in", 0, 1).queued_ns == t_a - 2.0
+
+
+def _run_batch(cpus, batch, timer):
+    """Run ``batch`` of ``(start, src, dst, nbytes)`` transfers on a fresh machine.
+
+    With ``timer`` each mover starts its transfer with ``transfer_async``;
+    otherwise it spawns a coroutine around ``Network.transfer``.  Returns
+    the machine and the ``(index, arrival time)`` log in arrival order.
+    """
+    from repro.sim.engine import Delay
+
+    m = Machine(MachineConfig(nprocs=cpus, derived={"link_stats": "on"}))
+    net = m.network
+    log = []
+
+    def carry(i, src, dst, nbytes):
+        yield from net.transfer(src, dst, nbytes)
+        log.append((i, m.engine.now))
+
+    def mover(i, start, src, dst, nbytes):
+        yield Delay(start)
+        if timer:
+            assert net.transfer_async(
+                src, dst, nbytes, lambda j: log.append((j, m.engine.now)), i
+            )
+        else:
+            m.engine.spawn(carry(i, src, dst, nbytes))
+
+    for i, spec in enumerate(batch):
+        m.engine.spawn(mover(i, *spec))
+    m.engine.run()
+    return m, log
+
+
+@st.composite
+def _transfer_batches(draw):
+    cpus = draw(st.sampled_from((16, 64)))
+    nodes = st.integers(0, cpus // MachineConfig(nprocs=cpus).cpus_per_node - 1)
+    spec = st.tuples(
+        st.integers(0, 6).map(lambda k: 150.0 * k),
+        nodes,
+        nodes,
+        st.one_of(st.sampled_from((0, 1, 64, 4096)), st.integers(0, 70_000)),
+    )
+    return cpus, draw(st.lists(spec, min_size=1, max_size=40))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_transfer_batches())
+def test_timer_transfers_match_coroutine_transfers(case):
+    """``transfer_async`` and spawned ``transfer`` coroutines are indistinguishable.
+
+    Random batches (same-node pairs and zero-byte sizes included) with
+    staggered starts, so links queue in mixed orders: delivery times and
+    order, per-link statistics, traffic counters and the engine's seq
+    count must all be identical.
+    """
+    cpus, batch = case
+    timer, timer_log = _run_batch(cpus, batch, timer=True)
+    spawned, spawned_log = _run_batch(cpus, batch, timer=False)
+    assert timer_log == spawned_log
+    assert len(timer_log) == len(batch)
+    assert timer.network.link_stats() == spawned.network.link_stats()
+    assert timer.stats.network_messages == spawned.stats.network_messages == len(batch)
+    assert timer.stats.network_bytes == spawned.stats.network_bytes
+    assert timer.engine.counters()["events"] == spawned.engine.counters()["events"]
+    assert timer.network.timer_fast_transfers == len(batch)

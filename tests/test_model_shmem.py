@@ -84,6 +84,27 @@ class TestPutGet:
         with pytest.raises(IndexError):
             run_shmem(program, 1)
 
+    @pytest.mark.parametrize("target", (0, 2))
+    def test_put_overflow_raises_at_issue(self, target):
+        """An overflowing put fails in the issuing rank's call, before it counts."""
+        seen = []
+
+        def program(ctx):
+            buf = ctx.salloc("buf", (4,), np.float64)
+            if ctx.rank == 0:
+                with pytest.raises(
+                    IndexError, match=r"put of 8 elems at offset 1 overflows 'buf' \(size 4\)"
+                ):
+                    yield from ctx.put(buf, target, np.zeros(8), offset=1)
+                seen.append(ctx.now)
+            yield from ctx.barrier_all()
+
+        res = run_shmem(program, 4, trace=True)
+        assert seen == [0.0]
+        assert res.stats.per_cpu[0].puts == 0
+        assert res.stats.per_cpu[0].put_bytes == 0
+        assert [e for e in res.events if e.kind in ("put", "put_done")] == []
+
     def test_get_bounds_checked(self):
         def program(ctx):
             buf = ctx.salloc("buf", (4,), np.float64)
