@@ -192,7 +192,9 @@ class ShmemContext(BaseContext):
         """
         if not 0 <= target_rank < self.nprocs:
             raise ValueError(f"bad target rank {target_rank}")
-        data = np.ascontiguousarray(data, dtype=sym.dtype).reshape(-1)
+        data = np.ascontiguousarray(data, dtype=sym.dtype)
+        if data.ndim != 1:
+            data = data.reshape(-1)
         count = data.size
         dest = sym.flat[target_rank]
         if offset < 0 or offset + count > dest.size:
@@ -200,7 +202,7 @@ class ShmemContext(BaseContext):
                 f"put of {count} elems at offset {offset} overflows {sym.name!r}"
                 f" (size {dest.size})"
             )
-        nbytes = int(data.nbytes)
+        nbytes = count * sym.itemsize
         self.stats.puts += 1
         self.stats.put_bytes += nbytes
         if self._obs.enabled:

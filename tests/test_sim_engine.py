@@ -481,6 +481,30 @@ def test_call_after_interleaves_fifo_with_process_wakes():
     assert order == ["timer", "a", "b"]
 
 
+def test_handoff_is_a_zero_delay_entry_without_a_timer_count():
+    """``handoff`` takes one seq in the zero lane, after entries already due."""
+    eng = Engine()
+    order = []
+
+    def prog(tag):
+        yield Delay(0)
+        order.append((tag, eng.now))
+
+    def first():
+        yield Delay(4)
+        eng.spawn(prog("woken"))
+        eng.call_after(0.0, order.append, (("timer", eng.now),))
+        eng.handoff((order.append, (("handoff", eng.now),)))
+
+    eng.spawn(first())
+    eng.run()
+    assert order == [("timer", 4.0), ("handoff", 4.0), ("woken", 4.0)]
+    counters = eng.counters()
+    assert counters["timer_calls"] == 1
+    # two spawns, two delays, one call_after, one handoff
+    assert counters["events"] == 6
+
+
 def test_batched_and_scalar_timelines_identical():
     """A process soup reproduces the (now, order) the scalar heap loop recorded."""
 
