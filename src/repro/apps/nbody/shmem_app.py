@@ -57,11 +57,9 @@ def nbody_shmem(ctx, cfg: NBodyConfig) -> Generator:
 
         ctx.phase_begin("exchange")
         # push my slice into everyone's symmetric copies (self included)
-        new_pos = new_pos.ravel()
-        new_vel = new_vel.ravel()
         for dst in range(ctx.nprocs):
-            yield from ctx.put(sym_pos, dst, new_pos, offset=lo * 2)
-            yield from ctx.put(sym_vel, dst, new_vel, offset=lo * 2)
+            yield from ctx.put(sym_pos, dst, new_pos.ravel(), offset=lo * 2)
+            yield from ctx.put(sym_vel, dst, new_vel.ravel(), offset=lo * 2)
             yield from ctx.put(sym_cost, dst, my_costs, offset=lo)
         yield from ctx.barrier_all()
         ctx.phase_end()

@@ -528,7 +528,7 @@ class Engine:
             self._dispatch(proc, request)
 
     def _dispatch(self, proc: Process, request: Any) -> None:
-        if type(request) is Delay or isinstance(request, Delay):
+        if isinstance(request, Delay):
             proc._blocked_on = "delay"
             self._schedule(request.ns, proc, None)
         elif type(request) is Hop:
