@@ -249,8 +249,8 @@ class TestNBody:
     def test_initial_bodies_shared_per_run_as_copies(self):
         """One build per run: each caller gets equal copies it may write into."""
         from repro.apps.nbody import common
-        from repro.apps.nbody.common import initial_bodies
 
+        initial_bodies = common.initial_bodies
         cfg = NBodyConfig(n=64, steps=1, seed=3)
         machine = Machine(MachineConfig(nprocs=4))
         fresh = initial_bodies(cfg)
