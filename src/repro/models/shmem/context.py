@@ -120,7 +120,7 @@ class ShmemContext(BaseContext):
         self.cfg = machine.config
         self._outstanding: List[Event] = []
         self._coll_seq = 0
-        # the issue cost of every put and iput, one shared request
+        # what issuing a put or an iput costs, as one shared request
         self._op_delay = Delay(self.cfg.shmem_op_ns)
 
     # -- loss recovery -------------------------------------------------------

@@ -85,7 +85,7 @@ class TestPutGet:
             run_shmem(program, 1)
 
     @pytest.mark.parametrize("target", (0, 2))
-    def test_put_overflow_raises_at_issue(self, target):
+    def test_put_overflow_raises_in_the_issuing_call(self, target):
         """An overflowing put fails in the issuing rank's call, before it counts."""
         seen = []
 
