@@ -1,10 +1,12 @@
-"""Differential golden suite: 2-D mesh adaptation is byte-identical.
+"""Differential golden suite: mesh adaptation is byte-identical.
 
 ``tests/golden/mesh.json`` (written by ``tools/record_mesh_golden.py``)
 fingerprints, step by step, the meshes, mark sets, dual graphs, vertex
 graphs, solve plans and phase plans of every generated scenario class at
 two seeds and of the moving-shock adapt workload, and the meshes of
-shock-adapted structured and Delaunay meshes.  It was recorded
+shock-adapted structured and Delaunay meshes; for a 3-D moving-shock
+build at P=8 and P=64 it fingerprints every phase plan and the
+reference checksum.  It was recorded
 before ``TriMesh`` moved from lists of tuples to arrays with a cached
 edge table, and it is the oracle for that change: each test here
 replays one case on the current tree and compares every SHA-256.
