@@ -11,8 +11,8 @@ fine-grained boundary communication per element).
 import pytest
 
 from conftest import MODELS, emit
-from repro.apps.adapt import ADAPT_PROGRAMS
-from repro.apps.adapt3d import Adapt3DConfig, build_script3d
+from repro.apps.adapt import ADAPT_PROGRAMS, build_script
+from repro.apps.adapt3d import Adapt3DConfig
 from repro.harness import ascii_chart, format_table
 from repro.models.registry import run_program
 from repro.workloads.shock3d import MovingShock3D
@@ -32,7 +32,7 @@ def f7_results():
     out = {}
     scripts = {}
     for p in P_LIST:
-        scripts[p] = build_script3d(WL, p)
+        scripts[p] = build_script(WL, p)
         for model in MODELS:
             out[(model, p)] = run_program(model, ADAPT_PROGRAMS[model], p, scripts[p])
     rows = []

@@ -1,15 +1,13 @@
 """The 3-D (tetrahedral) adaptive application.
 
 The three programming-model programs are the *same code* as the 2-D
-application (:mod:`repro.apps.adapt`): they consume the model-independent
-:class:`~repro.apps.adapt.script.PhasePlan` trajectory, which is
-dimension-agnostic — only the trajectory *builder* differs, driving the
-tetrahedral engine (Bey red-green refinement, non-strict coarsening with
-in-phase closure) instead of the triangular one.
+application (:mod:`repro.apps.adapt`), and so is the trajectory builder:
+:func:`repro.apps.adapt.script.build_script` runs its one phase loop on a
+tetrahedral mesh when given an :class:`Adapt3DConfig` (Bey red-green
+refinement with the in-phase hanging-node closure, non-strict coarsening
+over up to three passes).  This package holds only that configuration.
 """
 
-from repro.apps.adapt import ADAPT_PROGRAMS
 from repro.apps.adapt3d.common import Adapt3DConfig
-from repro.apps.adapt3d.script3d import build_script3d
 
-__all__ = ["Adapt3DConfig", "build_script3d", "ADAPT_PROGRAMS"]
+__all__ = ["Adapt3DConfig"]

@@ -13,7 +13,7 @@ from repro.mesh.refine3d import (
     Refinement3DReport,
     dissolve_green_families3d,
     hanging_edge_marks3d,
-    refine_cascade3d,
+    refine_closed3d,
 )
 
 __all__ = ["Adaptation3DReport", "adapt_phase3d"]
@@ -57,24 +57,7 @@ def adapt_phase3d(
                 break
     marks = set(mark_fn(mesh))
     marks |= hanging_edge_marks3d(mesh)
-    refinement = refine_cascade3d(mesh, marks)
-    # a cascade can create tets whose (new) edges coincide with historically
-    # refined edges whose midpoints are still in use elsewhere — iterate the
-    # hanging-node closure to a fixpoint (depth-bounded by the history)
-    for _ in range(16):
-        extra = hanging_edge_marks3d(mesh)
-        if not extra:
-            break
-        rep2 = refine_cascade3d(mesh, extra)
-        refinement.refined_1to8 += rep2.refined_1to8
-        refinement.refined_1to4 += rep2.refined_1to4
-        refinement.refined_1to3 += rep2.refined_1to3
-        refinement.refined_1to2 += rep2.refined_1to2
-        refinement.new_tets.extend(rep2.new_tets)
-        refinement.new_vertices += rep2.new_vertices
-        refinement.families.update(rep2.families)
-    else:
-        raise AssertionError("hanging-node closure did not converge")
+    refinement = refine_closed3d(mesh, marks)
     if validate:
         mesh.validate()
     return Adaptation3DReport(

@@ -14,6 +14,8 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.mesh.mesh2d import edge_keys_of
+
 __all__ = ["TetMesh", "edge_key3", "tet_edges_of"]
 
 EdgeKey = Tuple[int, int]
@@ -157,6 +159,17 @@ class TetMesh:
             )
             self.edge_midpoint[e] = vid
         return vid
+
+    def midpoint_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every memoised midpoint: ``(edge keys ascending, vertex ids)``.
+
+        Keys are packed as :class:`~repro.mesh.mesh2d.TriMesh` packs them
+        (``a << 32 | b``), so one code path reads either mesh's table.
+        """
+        keys = edge_keys_of(self.edge_midpoint)
+        vids = np.fromiter(self.edge_midpoint.values(), np.int64, len(keys))
+        order = np.argsort(keys)
+        return keys[order], vids[order]
 
     def kill(self, tid: int) -> None:
         if not self.alive[tid]:

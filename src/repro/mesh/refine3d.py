@@ -48,6 +48,7 @@ __all__ = [
     "dissolve_green_families3d",
     "hanging_edge_marks3d",
     "refine_cascade3d",
+    "refine_closed3d",
 ]
 
 
@@ -69,6 +70,17 @@ class Refinement3DReport:
     @property
     def greens(self) -> int:
         return self.refined_1to4 + self.refined_1to3 + self.refined_1to2
+
+    def absorb(self, other: "Refinement3DReport") -> None:
+        """Add ``other``'s counts, new tets, rounds and families to this report."""
+        self.refined_1to8 += other.refined_1to8
+        self.refined_1to4 += other.refined_1to4
+        self.refined_1to3 += other.refined_1to3
+        self.refined_1to2 += other.refined_1to2
+        self.new_tets.extend(other.new_tets)
+        self.new_vertices += other.new_vertices
+        self.cascade_rounds += other.cascade_rounds
+        self.families.update(other.families)
 
 
 def classify_marks3d(tet: Tuple[int, int, int, int], marked: Set[EdgeKey]):
@@ -297,12 +309,23 @@ def refine_cascade3d(mesh: TetMesh, marked: Set[EdgeKey]) -> Refinement3DReport:
         if converted:
             continue
         report = refine3d(mesh, marked)
-        total.refined_1to8 += report.refined_1to8
-        total.refined_1to4 += report.refined_1to4
-        total.refined_1to3 += report.refined_1to3
-        total.refined_1to2 += report.refined_1to2
-        total.new_tets.extend(report.new_tets)
-        total.new_vertices += report.new_vertices
-        total.families.update(report.families)
+        total.absorb(report)
         if report.refined == 0:
             return total
+
+
+def refine_closed3d(mesh: TetMesh, marked: Set[EdgeKey]) -> Refinement3DReport:
+    """:func:`refine_cascade3d`, then the hanging-node closure to a fixpoint.
+
+    A cascade can create tets whose new edges coincide with historically
+    refined edges whose midpoints are still in use elsewhere, so the
+    closure repeats (depth-bounded by the history).  The report sums every
+    cascade, rounds included.
+    """
+    total = refine_cascade3d(mesh, marked)
+    for _ in range(16):
+        extra = hanging_edge_marks3d(mesh)
+        if not extra:
+            return total
+        total.absorb(refine_cascade3d(mesh, extra))
+    raise AssertionError("3-D hanging-node closure did not converge")

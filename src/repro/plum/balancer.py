@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.mesh.mesh2d import TriMesh
+from repro.mesh.mesh3d import TetMesh
 from repro.partition import mesh_dual_graph, multilevel
 from repro.partition.metrics import partition_summary
 from repro.plum.cost import RemapCost, remap_cost
@@ -87,8 +88,8 @@ class PlumBalancer:
             loads[p] += 1.0 if weights is None else weights.get(tid, 1.0)
         return loads
 
-    def initial_partition(self, mesh: TriMesh) -> Dict[int, int]:
-        """Partition a fresh mesh (no reassignment needed).
+    def initial_partition(self, mesh: Union[TriMesh, TetMesh]) -> Dict[int, int]:
+        """Partition a fresh triangular or tetrahedral mesh (no reassignment needed).
 
         With a link-penalty matrix, the fresh part labels are still
         permuted onto processors fault-aware: nothing has owners yet, so
@@ -115,22 +116,22 @@ class PlumBalancer:
 
     def rebalance(
         self,
-        mesh: TriMesh,
+        mesh: Union[TriMesh, TetMesh],
         owner: Dict[int, int],
         weights: Optional[Dict[int, float]] = None,
         force: bool = False,
     ) -> RebalanceResult:
         """Rebalance ownership of the alive elements of ``mesh``.
 
-        ``owner`` maps every alive triangle id to its current processor
-        (new triangles inherit their parent's owner before calling this —
+        ``owner`` maps every alive element id to its current processor
+        (new elements inherit their parent's owner before calling this —
         see :func:`inherit_ownership`).  Returns the (possibly unchanged)
         ownership and the remap cost actually incurred.
         """
         alive = mesh.alive_tris()
         missing = [t for t in alive if t not in owner]
         if missing:
-            raise KeyError(f"{len(missing)} alive triangles lack owners, e.g. {missing[:5]}")
+            raise KeyError(f"{len(missing)} alive elements lack owners, e.g. {missing[:5]}")
         before = self.policy.imbalance(self.loads({t: owner[t] for t in alive}, weights))
         if not force and before <= self.policy.threshold:
             result = RebalanceResult(
@@ -183,13 +184,13 @@ class PlumBalancer:
         return result
 
 
-def inherit_ownership(mesh: TriMesh, owner: Dict[int, int]) -> Dict[int, int]:
-    """Extend an ownership map to cover exactly the alive triangles.
+def inherit_ownership(mesh: Union[TriMesh, TetMesh], owner: Dict[int, int]) -> Dict[int, int]:
+    """Extend an ownership map to cover exactly the alive elements.
 
-    Refined triangles inherit their nearest owned *ancestor*'s processor;
-    coarsened (revived) parents inherit from an owned *descendant* (the
-    majority owner among their most recent children).  Entries for dead
-    triangles are dropped.
+    The elements are triangles or tetrahedra.  Refined elements inherit
+    their nearest owned *ancestor*'s processor; coarsened (revived)
+    parents inherit from an owned *descendant* (the majority owner among
+    their most recent children).  Entries for dead elements are dropped.
     """
     parent = np.asarray(mesh.parent).tolist()
     kids: Optional[Dict[int, List[int]]] = None
@@ -217,7 +218,7 @@ def inherit_ownership(mesh: TriMesh, owner: Dict[int, int]) -> Dict[int, int]:
                 break
             t = parent[t]
         if found is None:
-            raise KeyError(f"triangle {tid} has no owned ancestor or descendant")
+            raise KeyError(f"element {tid} has no owned ancestor or descendant")
         out[tid] = found
     return out
 

@@ -12,7 +12,7 @@ import pytest
 from repro.apps.adapt import AdaptConfig, build_script
 from repro.apps.adapt.sas_app import _layout
 from repro.apps.adapt.shmem_app import _slot_layout
-from repro.apps.adapt3d import Adapt3DConfig, build_script3d
+from repro.apps.adapt3d import Adapt3DConfig
 
 TABLES = ("ghost_sends", "boundary_marks", "migration_elems", "migration_verts",
           "coarsen_transfers")
@@ -23,7 +23,7 @@ def script(request):
     if request.param == "2d-p64":
         # the smallest 2-D trajectory with all four pair tables non-empty
         return build_script(AdaptConfig(mesh_n=8, phases=3, solver_iters=2), 64)
-    return build_script3d(Adapt3DConfig(mesh_n=2, phases=3, solver_iters=2), 8)
+    return build_script(Adapt3DConfig(mesh_n=2, phases=3, solver_iters=2), 8)
 
 
 def test_pairs_of_is_the_rank_filter_of_each_table(script):

@@ -490,11 +490,12 @@ def run_case(name: str, machine: Any = None):
     if name.startswith(("adapt-coarsen/", "adapt3d/")):
         kind, model, p = name.split("/")
         if kind == "adapt3d":
-            from repro.apps.adapt3d import Adapt3DConfig, build_script3d
+            from repro.apps.adapt3d import Adapt3DConfig
 
-            script = build_script3d(Adapt3DConfig(), int(p))
+            config = Adapt3DConfig()
         else:
-            script = build_script(AdaptConfig(mesh_n=8, phases=3, solver_iters=2), int(p))
+            config = AdaptConfig(mesh_n=8, phases=3, solver_iters=2)
+        script = build_script(config, int(p))
         return run_program(model, ADAPT_PROGRAMS[model], int(p), script,
                            machine=machine, trace=True)
     kind, p = name.split("/")
