@@ -25,8 +25,9 @@ from repro.models import run_program
 from repro.harness import run_app, sweep
 
 # also the result-store engine salt: bump on any intentional change to
-# simulated timelines (1.2.0: collective-aware MPI fault recovery)
-__version__ = "1.2.0"
+# simulated timelines (1.2.0: collective-aware MPI fault recovery; 1.2.1:
+# fault-aware profiles steer 3-D PLUM, so faulted adapt3d runs change)
+__version__ = "1.2.1"
 
 __all__ = [
     "Machine",

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps.adapt import AdaptConfig
+from repro.apps.adapt import AdaptConfig, build_script
+from repro.apps.adapt3d import Adapt3DConfig
 from repro.faults import FaultPlane, parse_domain, resolve_profile
 from repro.harness.experiment import run_app
 from repro.machine import MachineConfig
 from repro.machine.topology import Topology
 
 _WL = AdaptConfig(mesh_n=8, phases=3, solver_iters=6)
+_WL3D = Adapt3DConfig(mesh_n=2, phases=3, solver_iters=4)
 
 
 def _bound_plane(profile, nprocs=16):
@@ -143,6 +145,30 @@ def test_fault_aware_changes_faulted_timeline_only():
     # blind remains deterministic alongside (cache-key separation)
     again = run_app("adapt", "mpi", 16, _WL, faults=blind)
     assert again.elapsed_ns == r_blind.elapsed_ns
+
+
+def test_fault_aware_steers_adapt3d_like_adapt():
+    """The harness hands the fault profile to the 3-D build too."""
+    blind = resolve_profile("bursty-links", seed=1)
+    aware = blind.with_(fault_aware=True)
+    r_blind = run_app("adapt3d", "mpi", 16, _WL3D, faults=blind)
+    r_aware = run_app("adapt3d", "mpi", 16, _WL3D, faults=aware)
+    assert r_aware.elapsed_ns != r_blind.elapsed_ns
+    assert r_aware.rank_results == pytest.approx(r_blind.rank_results, rel=1e-9)
+    # the aware profile steers the trajectory; a blind one leaves it as
+    # the faults-off build
+    plain = _trajectory(build_script(_WL3D, 16))
+    assert _trajectory(build_script(_WL3D, 16, faults=aware)) != plain
+    assert _trajectory(build_script(_WL3D, 16, faults=blind)) == plain
+
+
+def _trajectory(script):
+    """Per phase: elements per rank, element count and migrated elements."""
+    return [
+        (plan.elems_per_rank.tolist(), plan.nels,
+         {pair: elems.tolist() for pair, elems in plan.migration_elems.items()})
+        for plan in script.phases
+    ]
 
 
 def test_rank_penalty_matrix_shape_and_gating():
