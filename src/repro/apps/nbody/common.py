@@ -120,12 +120,13 @@ def step_bodies(
     mass: np.ndarray,
     lo: int,
     hi: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, set]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """Tree-build + force + leapfrog for bodies ``[lo, hi)``.
 
     Returns (new positions slice, new velocities slice, per-body
-    interaction counts, nodes created, visited node ids).  Positions are
-    clipped to the unit square so the next tree build never overflows.
+    interaction counts, nodes created, the sorted distinct node ids the
+    slice's walks visit).  Positions are clipped to the unit square so
+    the next tree build never overflows.
     ``nodes`` is the full tree's size, what this rank's build costs, even
     when the host shares the tree with the step's other ranks.  The host
     shares the forces too: the tree walks every body once
@@ -134,7 +135,7 @@ def step_bodies(
     tree, nodes = QuadTree.replicated(pos, mass)
     forces = tree.forces(cfg.theta, cfg.eps)
     counts = forces.counts[lo:hi].copy()
-    visited = set(forces.visits_of(lo, hi).tolist())
+    visited = forces.visits_of(lo, hi)
     new_vel = vel[lo:hi] + cfg.dt * forces.acc[lo:hi]
     new_pos = np.clip(pos[lo:hi] + cfg.dt * new_vel, 0.0, 1.0)
     return new_pos, new_vel, counts, nodes, visited

@@ -67,8 +67,8 @@ def nbody_sas(ctx, cfg: NBodyConfig) -> Generator:
 
         ctx.phase_begin("force")
         # the walk reads shared tree nodes (8 doubles each)
-        if visited:
-            node_idx = np.asarray(sorted(visited), dtype=np.int64) * 8
+        if len(visited):
+            node_idx = visited * 8
             node_idx = node_idx[node_idx < sh_tree.size]
             yield from ctx.stouch_idx(sh_tree, node_idx, write=False)
         yield from ctx.compute(float(my_costs.sum()) * mcfg.body_interact_ns)
