@@ -105,6 +105,16 @@ class TestRefine3D:
         assert m.num_tets == 8 * before
         assert tet_volumes(m).sum() == pytest.approx(1.0)
 
+    def test_midpoint_table_packs_the_memoised_midpoints(self):
+        from repro.mesh.mesh2d import unpack_edge_keys
+
+        m = structured_tet_mesh(1)
+        refine3d(m, close_marks3d(m, set(m.edges())))
+        keys, mids = m.midpoint_table()
+        assert (keys[1:] > keys[:-1]).all()
+        lo, hi = unpack_edge_keys(keys)
+        assert dict(zip(zip(lo.tolist(), hi.tolist()), mids.tolist())) == m.edge_midpoint
+
     def test_red_children_bounded_quality(self):
         m = structured_tet_mesh(1)
         base = tet_aspects(m).max()
