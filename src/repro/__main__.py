@@ -812,8 +812,7 @@ def cmd_cache_verify(args: argparse.Namespace) -> int:
     from repro.serving import ResultStore
 
     store = ResultStore(args.cache_dir)
-    problems = store.verify()
-    entries = store.stats()["entries"]
+    entries, problems = store.verify()
     if problems:
         print(f"result store at {store.root}: {len(problems)} problem(s)")
         for problem in problems:
@@ -1122,11 +1121,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_cache_stats)
 
     c = csub.add_parser("verify",
-                        help="re-derive every entry's key from its signature",
+                        help="re-derive every entry's key from its signature "
+                             "and check the identity index",
                         parents=[_flags("cache_dir")])
     c.set_defaults(fn=cmd_cache_verify)
 
-    c = csub.add_parser("gc", help="remove store entries by age/version/state",
+    c = csub.add_parser("gc", help="remove store entries by age/version/state "
+                                   "and re-file the identity index",
                         parents=[_flags("cache_dir")])
     c.add_argument("--older-than", type=float, default=None, metavar="DAYS",
                    help="drop entries older than this many days")

@@ -275,32 +275,23 @@ def run_app(
     check_models(app, (model,))
     runner = APPS[app]
     if store is not None and not trace:
+        from repro.serving.scheduler import Cell
         from repro.serving.store import (
-            cache_key,
             resolve_workload,
-            run_identity,
-            run_signature,
             summarize_result,
             summary_from_payload,
         )
 
         workload = resolve_workload(app, workload)
-        sig = run_signature(
+        sig, key, identity = Cell(
             app, model, nprocs, workload, placement, faults, derived,
-            machine_profile=machine_profile,
-        )
-        key = cache_key(sig)
+            machine_profile,
+        ).signed()
         payload = store.get(key)
         if payload is not None:
             return summary_from_payload(payload)
         result = runner(model, nprocs, workload, placement, trace=trace, faults=faults, derived=derived, machine_profile=machine_profile)
-        store.put(
-            key, sig, summarize_result(result),
-            identity=run_identity(
-                app, model, nprocs, workload, placement, faults,
-                machine_profile=machine_profile,
-            ),
-        )
+        store.put(key, sig, summarize_result(result), identity=identity)
         return result
     return runner(model, nprocs, workload, placement, trace=trace, faults=faults, derived=derived, machine_profile=machine_profile)
 

@@ -8,8 +8,8 @@ layer with three parts:
 * :mod:`repro.serving.store` — a content-addressed on-disk result store
   keyed by the sha256 of each run's canonical signature (workload
   content hash, model, P, placement, faults, derived switches, engine
-  version), with atomic writes and a ``repro cache stats|gc|verify``
-  CLI;
+  version), with atomic writes, an identity → keys index, and a
+  ``repro cache stats|gc|verify`` CLI;
 * :mod:`repro.serving.scheduler` — a process-pool sweep scheduler that
   serves hits from the store and shards the misses across cores, with
   deterministic result ordering and per-cell error/timeout capture;

@@ -70,15 +70,10 @@ def plan(cells: Sequence[Cell], store: ResultStore) -> Plan:
     Uses presence checks only, so planning never perturbs the store's
     session hit/miss counters.
     """
-    entries = [
-        PlanEntry(
-            cell=cell,
-            key=(key := cell.key()),
-            identity=cell.identity(),
-            cached=store.contains(key),
-        )
-        for cell in cells
-    ]
+    entries = []
+    for cell in cells:
+        _, key, identity = cell.signed()
+        entries.append(PlanEntry(cell, key, identity, store.contains(key)))
     return Plan(entries=entries)
 
 
@@ -93,21 +88,28 @@ def find_stale(
     i.e. it was computed from content the sweep no longer uses, such as
     an old knob setting or an older engine version.
 
+    The store's identity index names the keys filed under each identity
+    the sweep touches, so the cost follows the sweep, not the store:
+    only a candidate stale key's object is read, to confirm that it
+    still exists and carries the identity.
+
     Returns:
         ``{identity: [stale keys]}`` for the identities the sweep
-        touches; empty when the store holds nothing stale.
+        touches, each list sorted; empty when the store holds nothing
+        stale.
     """
     wanted: Dict[str, set] = {}
     for cell in cells:
-        wanted.setdefault(cell.identity(), set()).add(cell.key())
+        _, key, identity = cell.signed()
+        wanted.setdefault(identity, set()).add(key)
     stale: Dict[str, List[str]] = {}
-    for _, record in store.entries():
-        if record is None:
-            continue
-        ident = record.get("identity")
-        key = record.get("key")
-        if ident in wanted and key not in wanted[ident]:
-            stale.setdefault(ident, []).append(key)
+    for identity, keys in wanted.items():
+        for key in store.keys_of(identity):
+            if key in keys:
+                continue
+            record = store.record(key)
+            if record is not None and record.get("identity") == identity:
+                stale.setdefault(identity, []).append(key)
     return stale
 
 

@@ -16,6 +16,7 @@ not killed — the pool drains it in the background).
 
 from __future__ import annotations
 
+import copy
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -38,7 +39,17 @@ __all__ = ["Cell", "CellResult", "run_cells", "run_tasks", "serve_report"]
 
 @dataclass(frozen=True)
 class Cell:
-    """One sweep cell: everything :func:`repro.harness.run_app` needs."""
+    """One sweep cell: everything :func:`repro.harness.run_app` needs.
+
+    A cell signs itself once: its signature, key and identity are worked
+    out on first use and kept in the instance ``__dict__``, outside the
+    dataclass fields, so equality and ``repr`` see only the cell.  They
+    cannot go stale: every field but ``derived`` is immutable, and
+    ``derived`` is copied at construction, so a caller editing its dict
+    afterwards changes neither the key nor the run.  A scenario given as
+    a file path is the exception: the file can change between lookups,
+    so such a cell reads and signs it again on every call.
+    """
 
     app: str
     model: str
@@ -48,6 +59,10 @@ class Cell:
     faults: Any = None
     derived: Optional[Dict[str, Any]] = None
     machine_profile: Any = None
+
+    def __post_init__(self) -> None:
+        if self.derived is not None:
+            object.__setattr__(self, "derived", copy.deepcopy(self.derived))
 
     def run_kwargs(self) -> Dict[str, Any]:
         """The ``run_app`` keyword form of this cell."""
@@ -62,25 +77,40 @@ class Cell:
             "machine_profile": self.machine_profile,
         }
 
+    def signed(self) -> Tuple[Dict[str, Any], str, str]:
+        """``(signature, key, identity)`` of the cell, signed once.
+
+        The signature is the canonical run signature (see the store) and
+        is shared by every caller: treat it as read-only.
+        """
+        signed = self.__dict__.get("_signed")
+        if signed is None:
+            workload = resolve_workload(self.app, self.workload)
+            sig = run_signature(
+                self.app, self.model, self.nprocs, workload,
+                self.placement, self.faults, self.derived,
+                machine_profile=self.machine_profile,
+            )
+            signed = (sig, cache_key(sig), run_identity(
+                self.app, self.model, self.nprocs, workload,
+                self.placement, self.faults,
+                machine_profile=self.machine_profile,
+            ))
+            if workload is self.workload:  # nothing was read from a file
+                self.__dict__["_signed"] = signed
+        return signed
+
     def signature(self) -> Dict[str, Any]:
         """The cell's full canonical run signature (see the store)."""
-        return run_signature(
-            self.app, self.model, self.nprocs, self.workload,
-            self.placement, self.faults, self.derived,
-            machine_profile=self.machine_profile,
-        )
+        return self.signed()[0]
 
     def key(self) -> str:
         """The cell's content-addressed store key."""
-        return cache_key(self.signature())
+        return self.signed()[1]
 
     def identity(self) -> str:
         """The cell's grouping identity (content-free; for invalidation)."""
-        return run_identity(
-            self.app, self.model, self.nprocs, self.workload,
-            self.placement, self.faults,
-            machine_profile=self.machine_profile,
-        )
+        return self.signed()[2]
 
     def label(self) -> str:
         """Short human label for tables and error messages."""
@@ -196,34 +226,34 @@ def run_cells(
     """
     cells = list(cells)
     results: List[Optional[CellResult]] = [None] * len(cells)
-    pending: List[Tuple[int, Cell, Optional[str], Optional[Dict[str, Any]]]] = []
+    pending: List[Tuple[int, Cell, Optional[Tuple[Dict[str, Any], str, str]]]] = []
     for i, cell in enumerate(cells):
         if store is not None:
-            sig = cell.signature()
-            key = cache_key(sig)
-            payload = store.get(key)
+            signed = cell.signed()
+            payload = store.get(signed[1])
             if payload is not None:
                 results[i] = CellResult(
                     cell=cell, index=i, source="store",
                     summary=summary_from_payload(payload),
                 )
                 continue
-            pending.append((i, cell, key, sig))
+            pending.append((i, cell, signed))
         else:
-            pending.append((i, cell, None, None))
+            pending.append((i, cell, None))
     computed = run_tasks(
-        _compute_cell, [c.run_kwargs() for _, c, _, _ in pending],
+        _compute_cell, [c.run_kwargs() for _, c, _ in pending],
         jobs=jobs, timeout=timeout,
     )
-    for (i, cell, key, sig), (payload, error, host) in zip(pending, computed):
+    for (i, cell, signed), (payload, error, host) in zip(pending, computed):
         if error is not None:
             source = "timeout" if error.startswith("timeout") else "error"
             results[i] = CellResult(
                 cell=cell, index=i, source=source, error=error, host_seconds=host
             )
             continue
-        if store is not None and key is not None:
-            store.put(key, sig, payload, identity=cell.identity())
+        if signed is not None:
+            sig, key, identity = signed
+            store.put(key, sig, payload, identity=identity)
         summary = summary_from_payload(payload)
         summary.cached = False
         results[i] = CellResult(

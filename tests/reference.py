@@ -18,6 +18,10 @@
   agree with bit for bit, and :func:`reference_cost_ranges`, the
   boundary-by-boundary cost-zones split that
   :func:`repro.apps.nbody.common.cost_ranges` must agree with.
+* :func:`reference_find_stale`, the stale entries of a sweep by one
+  decode of every stored object, which
+  :func:`repro.serving.invalidate.find_stale`'s identity-index lookup
+  must agree with.
 """
 
 from __future__ import annotations
@@ -191,3 +195,23 @@ def reference_cost_ranges(costs, nprocs):
         ranges.append((lo, hi))
         lo = hi
     return ranges
+
+
+def reference_find_stale(cells, store):
+    """``{identity: [stale keys]}`` by reading every object in ``store``.
+
+    An entry is stale when its record carries the identity of one of
+    ``cells`` but a key none of those cells has.
+    """
+    wanted = {}
+    for cell in cells:
+        wanted.setdefault(cell.identity(), set()).add(cell.key())
+    stale = {}
+    for _, record in store.entries():
+        if record is None:
+            continue
+        ident = record.get("identity")
+        key = record.get("key")
+        if ident in wanted and key not in wanted[ident]:
+            stale.setdefault(ident, []).append(key)
+    return stale
