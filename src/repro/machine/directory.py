@@ -42,6 +42,7 @@ bit-identical in simulated nanoseconds and statistics to looping over
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -123,11 +124,16 @@ class Directory:
     # -- eviction bookkeeping -------------------------------------------------
 
     def _make_evict_hook(self, cpu: int):
+        # the directory holds the caches, so the hook reaches back weakly:
+        # a strong reference would make every machine a reference cycle
+        directory = weakref.ref(self)
+
         def hook(line: int) -> None:
-            if line < self._cap:
-                self._sharers[line, cpu] = False
-                if self._owner[line] == cpu:
-                    self._owner[line] = -1
+            d = directory()
+            if d is not None and line < d._cap:
+                d._sharers[line, cpu] = False
+                if d._owner[line] == cpu:
+                    d._owner[line] = -1
 
         return hook
 

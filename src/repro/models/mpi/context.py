@@ -8,6 +8,7 @@ received out of order even if the simulated network reorders their arrival.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Generator, List, Optional
 
 from repro.faults import FaultRecoveryError
@@ -131,7 +132,9 @@ class MpiWorld:
     """Shared matching state for one MPI job (one per Machine run)."""
 
     def __init__(self, machine: Machine, nprocs: int):
-        self.machine = machine
+        # weak: the machine holds its world (below), and a strong back
+        # reference would make every MPI run a reference cycle
+        self._machine = weakref.ref(machine)
         self.nprocs = nprocs
         # indexed/vectorised first-match queues (see repro.models.mpi.matchq)
         self.mailbox: List[MatchQueue] = [MatchQueue() for _ in range(nprocs)]
@@ -163,7 +166,8 @@ class MpiWorld:
         return self._comm_ids[key]
 
     def contexts(self) -> List["MpiContext"]:
-        return [MpiContext(self.machine, rank, self.nprocs, self) for rank in range(self.nprocs)]
+        machine = self._machine()
+        return [MpiContext(machine, rank, self.nprocs, self) for rank in range(self.nprocs)]
 
     # -- matching ------------------------------------------------------------
 
@@ -195,8 +199,12 @@ class MpiWorld:
     def deliver(msg: _Msg) -> None:
         """Payload physically arrived at the receiver."""
         msg.arrived = True
-        if msg.bound is not None:
-            msg.bound.fire(msg)
+        bound = msg.bound
+        if bound is not None:
+            # the completion's value becomes msg: keeping msg.bound too
+            # would make every matched message a reference cycle
+            msg.bound = None
+            bound.fire(msg)
 
 
 class MpiContext(BaseContext):

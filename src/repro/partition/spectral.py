@@ -9,15 +9,19 @@ vector).  Slow but high-quality — the classic contrast to RCB.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.partition.graph import Graph
+
+# scipy is imported inside the functions that use it: it takes about 0.4 s
+# to import, which a process that never partitions (one that only needs
+# AdaptConfig from repro.apps.adapt, say) should not pay
 
 __all__ = ["spectral", "fiedler_vector"]
 
 
-def _laplacian(graph: Graph) -> sp.csr_matrix:
+def _laplacian(graph: Graph) -> "sp.csr_matrix":
+    import scipy.sparse as sp
+
     n = graph.num_vertices
     adj = sp.csr_matrix((-graph.ewgt, (graph.sources(), graph.adjncy)), shape=(n, n))
     deg = -np.asarray(adj.sum(axis=1)).ravel()
@@ -29,6 +33,8 @@ def fiedler_vector(graph: Graph, seed: int = 7) -> np.ndarray:
     n = graph.num_vertices
     if n < 3:
         return np.arange(n, dtype=np.float64)
+    import scipy.sparse.linalg as spla
+
     lap = _laplacian(graph).asfptype()
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
@@ -62,8 +68,8 @@ def _recurse(
     right_parts = nparts - left_parts
     target_frac = left_parts / nparts
 
-    # imported here, not at module level: csgraph's extension modules add
-    # about 1 MB to every process that imports repro.partition
+    # csgraph's extension modules add about 1 MB to a process
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     sub, orig = root.subgraph(ids)

@@ -65,6 +65,7 @@ eager ``isend`` and blocking ``recv``; MPI ``waitall`` with receives
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 from collections import deque
@@ -231,7 +232,6 @@ class Process:
     """A running coroutine inside the engine."""
 
     __slots__ = (
-        "engine",
         "gen",
         "pid",
         "name",
@@ -242,7 +242,6 @@ class Process:
     )
 
     def __init__(self, engine: "Engine", gen: Generator, pid: int, name: str):
-        self.engine = engine
         self.gen = gen
         self.pid = pid
         self.name = name
@@ -514,7 +513,11 @@ class Engine:
             proc.finished = True
             proc.result = stop.value
             self._live -= 1
-            proc.end_event.fire(stop.value)
+            end = proc.end_event
+            end.fire(stop.value)
+            # a fired one-shot event never schedules again: dropping its
+            # engine breaks the engine -> _procs -> proc -> end_event cycle
+            end.engine = None
             return
         except BaseException as exc:
             proc.finished = True
@@ -626,7 +629,16 @@ class Engine:
         """
         if until is not None and until < self.now:
             return self.now
-        self._run_batched(until)
+        # A run makes no reference cycles (tests/test_gc_free.py), so the
+        # cyclic collector would find nothing: pause it for the drain and
+        # give the caller back the setting it had.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._run_batched(until)
+        finally:
+            if collecting:
+                gc.enable()
         if self._live > 0 and not self._queued():
             blocked = [p for p in self._procs if not p.finished]
             names = ", ".join(f"{p.name}({p._blocked_on})" for p in blocked[:12])

@@ -259,3 +259,32 @@ class TestModelValidation:
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit, match=r"unknown model '(hybrid|pvm)'.*choose from"):
             main(argv + ["--no-cache"])
+
+    def test_model_table_matches_program_registries(self):
+        # check_models reads APP_MODELS so that checking a spec imports no
+        # rank program; the table must name exactly what each app runs
+        from repro.harness.experiment import APP_MODELS, _programs
+
+        assert set(APP_MODELS) == set(APPS)
+        for app, models in APP_MODELS.items():
+            assert sorted(models) == sorted(_programs(app)), app
+
+    def test_checking_models_imports_no_program(self):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.harness.experiment import check_models\n"
+            "for app in ('adapt', 'adapt3d', 'scenario', 'nbody', 'jacobi'):\n"
+            "    check_models(app, ['mpi', 'sas'])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.apps')"
+            " or m == 'scipy'))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.strip() == "[]"
