@@ -805,6 +805,10 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
         print(f"  engine {eng:<13} {count} entries")
     for prof, count in sorted(st["by_profile"].items()):
         print(f"  profile {prof:<12} {count} entries")
+    if st["superseded_files"]:
+        print(f"  older layouts: {st['superseded_files']} files, "
+              f"{st['superseded_bytes'] / 1024:.1f} KiB (cache gc --outdated "
+              f"removes them)")
     return 0
 
 
@@ -1132,9 +1136,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--older-than", type=float, default=None, metavar="DAYS",
                    help="drop entries older than this many days")
     c.add_argument("--outdated", action="store_true",
-                   help="drop entries from other engine versions (never hit)")
+                   help="drop entries from other engine versions and the "
+                        "trees of older store layouts (never hit)")
     c.add_argument("--corrupt", action="store_true",
-                   help="drop unreadable or mis-keyed entries")
+                   help="drop unreadable, damaged or mis-keyed entries")
     c.add_argument("--all", action="store_true", help="drop every entry")
     c.set_defaults(fn=cmd_cache_gc)
 

@@ -96,6 +96,8 @@ class Machine:
         self.nodes: List[Node] = build_nodes(self.config)
         self._finish_ns: List[Optional[float]] = [None] * self.config.nprocs
         self._procs: List[Optional[Process]] = [None] * self.config.nprocs
+        #: the MPI matching state of this machine's run, set by an MPI world
+        self.mpi_world = None
 
     # -- program execution -------------------------------------------------------
 
@@ -121,7 +123,14 @@ class Machine:
 
     def run(self) -> float:
         """Advance virtual time until all ranks complete; returns wall ns."""
-        self.engine.run()
+        try:
+            self.engine.run()
+        except BaseException:
+            # the ranks never resume: MPI matching lets go of what it holds
+            # for them (the engine has dropped their frames and queues)
+            if self.mpi_world is not None:
+                self.mpi_world.abandon()
+            raise
         missing = [r for r, t in enumerate(self._finish_ns) if t is None and self._procs[r] is not None]
         if missing:  # pragma: no cover - engine.run would have raised Deadlock
             raise RuntimeError(f"ranks did not finish: {missing}")

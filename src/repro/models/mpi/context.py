@@ -157,6 +157,16 @@ class MpiWorld:
             out["scalar_scans"] += q.scalar_scans
         return out
 
+    def abandon(self) -> None:
+        """Drop the unmatched messages and posted receives of a failed run.
+
+        Its ranks never resume, and a posted receive holds its rank's
+        context, which holds the machine that holds this world: a
+        reference cycle.
+        """
+        for queue in self.mailbox + self.pending:
+            queue.clear()
+
     def comm_id_for(self, split_seq: int, color) -> int:
         """Stable unique id per (split call, color) across all ranks."""
         key = (split_seq, color)

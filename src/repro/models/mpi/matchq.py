@@ -93,6 +93,14 @@ class MatchQueue:
                 self._index[(src, tag)] = bucket = deque()
             bucket.append(len(self._items) - 1)
 
+    def clear(self) -> None:
+        """Drop every entry; the matching counters stay."""
+        self._items.clear()
+        self._src.clear()
+        self._tag.clear()
+        self._head = self._size = self._nwild = 0
+        self._index.clear()
+
     # -- first-match retrieval -------------------------------------------------
 
     @staticmethod

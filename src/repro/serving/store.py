@@ -10,11 +10,26 @@ the same object, and any change to any signature field lands on a
 different key, which is the whole invalidation story (see
 :mod:`repro.serving.invalidate`).
 
-Layout on disk::
+Layout on disk (``v2`` is :data:`STORE_LAYOUT`)::
 
-    <root>/v1/objects/<key[:2]>/<key>.json
-    <root>/v1/index/<sha256(identity)>/<key>     (empty marker files)
-    <root>/v1/index/COMPLETE                     (the index covers every object)
+    <root>/v2/objects/<key[:2]>/<key>.json
+    <root>/v2/index/<sha256(identity)>/<key>     (empty marker files)
+    <root>/v2/index/COMPLETE                     (the index covers every object)
+
+An object file is three lines::
+
+    <key> <crc32> <n>                  header: CRC-32 (8 hex digits) of the
+                                       two lines below, n = payload bytes
+    <payload JSON>                     what a lookup returns
+    {"identity":…,"signature":…}       what administration reads
+
+A lookup (:meth:`ResultStore.get`) checks the header's key and the
+CRC over every byte after the header, then decodes only the payload
+line; any mismatch is a miss.  ``cache verify`` decodes both lines and
+also re-derives the key from the stored signature and checks the
+identity index.  The layout version names the object tree and is not
+signed, so a new layout keeps every key; trees of older layouts are
+never read, and ``cache gc --outdated`` deletes them.
 
 ``<root>`` defaults to ``$REPRO_CACHE_DIR`` or ``./.repro-cache``.
 Writes are atomic (a temp file of the writer's own + ``os.replace``), so
@@ -32,8 +47,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -41,6 +58,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 import repro
 
 __all__ = [
+    "STORE_LAYOUT",
     "STORE_SCHEMA",
     "ResultStore",
     "ResultSummary",
@@ -55,8 +73,14 @@ __all__ = [
     "summary_from_payload",
 ]
 
-#: bump when the record layout changes; old objects simply never hit
+#: signed into every run signature: bump when what a signature means
+#: changes, and every key moves (old objects simply never hit)
 STORE_SCHEMA = 1
+
+#: the object file layout; it names the object tree (``<root>/v<layout>``)
+#: and is not signed, so a new layout keeps every key.  Bump it when the
+#: bytes of an object change; older trees are never read
+STORE_LAYOUT = 2
 
 #: per-CPU counters a stored summary totals (everything R-T2 tabulates)
 COUNTER_ATTRS = (
@@ -386,15 +410,87 @@ def _identity_hash(identity: str) -> str:
     return hashlib.sha256(identity.encode()).hexdigest()
 
 
-def _read_record(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
-    """The record in the object file ``path``, or ``None`` when the file
-    is missing, unreadable, or holds JSON that is not an object."""
+#: one ``os.read`` takes a whole object of up to this many bytes
+_READ_SIZE = 16384
+
+
+def _dumps(value: Any) -> str:
+    """Canonical JSON of plain data (raises on anything JSON cannot hold)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _read_bytes(path: Union[str, Path]) -> bytes:
+    """The bytes of the file ``path``: one read for a typical object."""
+    fd = os.open(path, os.O_RDONLY)
     try:
-        with open(path, "rb") as fh:
-            record = json.loads(fh.read())
-    except (OSError, ValueError):
-        return None
-    return record if isinstance(record, dict) else None
+        data = os.read(fd, _READ_SIZE)
+        if len(data) == _READ_SIZE:
+            chunks = [data]
+            while chunks[-1]:
+                chunks.append(os.read(fd, _READ_SIZE))
+            data = b"".join(chunks)
+    finally:
+        os.close(fd)
+    return data
+
+
+def _encode_object(key: str, payload: str, meta: str) -> bytes:
+    """The object file for ``key``: header, payload line, meta line."""
+    payload_line = payload.encode()
+    body = payload_line + b"\n" + meta.encode() + b"\n"
+    return f"{key} {zlib.crc32(body):08x} {len(payload_line)}\n".encode() + body
+
+
+def _checked(data: bytes) -> Tuple[bytes, int, int]:
+    """``(key, start, end)``: the header's key and the span of the payload
+    line in the object bytes ``data``, once the CRC holds.
+
+    Raises:
+        ValueError: naming the damage when the header is malformed or the
+            CRC does not match the bytes after it (a flipped or lost byte).
+    """
+    start = data.find(b"\n") + 1
+    try:
+        if not start:
+            raise ValueError
+        key, crc, size = data[:start - 1].split(b" ")
+        crc = int(crc, 16)
+        end = start + int(size)
+    except ValueError:
+        raise ValueError("malformed header") from None
+    if zlib.crc32(memoryview(data)[start:]) != crc or data[end:end + 1] != b"\n":
+        raise ValueError("checksum mismatch")
+    return key, start, end
+
+
+def _load_record(path: Union[str, Path]) -> Tuple[Optional[Dict[str, Any]], str]:
+    """``(record, "")`` for a sound object file, ``(None, what is wrong)``
+    for a missing, unreadable or damaged one.
+
+    The record holds the header's ``key`` and the ``identity``,
+    ``signature`` and ``payload`` of the two JSON lines, both of which
+    must be objects.
+    """
+    try:
+        data = _read_bytes(path)
+        key, start, end = _checked(data)
+    except OSError:
+        return None, "unreadable"
+    except ValueError as exc:
+        return None, str(exc)
+    try:
+        payload = json.loads(data[start:end])
+        meta = json.loads(data[end + 1:])
+    except ValueError:
+        payload = meta = None
+    if not isinstance(payload, dict) or not isinstance(meta, dict):
+        return None, "unreadable JSON"
+    return {
+        "key": key.decode("ascii", "replace"),
+        "identity": meta.get("identity"),
+        "signature": meta.get("signature"),
+        "payload": payload,
+    }, ""
 
 
 def _identity_of(record: Dict[str, Any]) -> Optional[str]:
@@ -447,8 +543,8 @@ class ResultStore:
         self._root = Path(root) if root is not None else default_cache_dir()
         # objects_dir as a string ending in a separator: a lookup appends
         # ``<key[:2]>/<key>.json`` to it instead of joining Paths
-        self._prefix = os.path.join(self._root, f"v{STORE_SCHEMA}", "objects", "")
-        self._index = os.path.join(self._root, f"v{STORE_SCHEMA}", "index")
+        self._prefix = os.path.join(self._root, f"v{STORE_LAYOUT}", "objects", "")
+        self._index = os.path.join(self._root, f"v{STORE_LAYOUT}", "index")
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -487,27 +583,39 @@ class ResultStore:
     def record(self, key: str) -> Optional[Dict[str, Any]]:
         """The whole stored record for ``key``, or ``None``.
 
-        The record holds ``schema``, ``key``, ``identity``, ``signature``
-        and ``payload``.  A missing or unreadable object reads as
-        ``None``; the session counters are left alone.
+        The record holds ``key`` (from the header), ``identity``,
+        ``signature`` and ``payload``.  A missing, unreadable or damaged
+        object reads as ``None``; the session counters are left alone.
         """
-        return _read_record(self._object_path(key))
+        return _load_record(self._object_path(key))[0]
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload for ``key``, or ``None`` on miss.
 
-        Unreadable or corrupt objects count as misses (and bump
-        ``read_errors``) — the serving layer recomputes and overwrites
-        them rather than failing a sweep.
+        Reads the object, checks its header's key and the CRC of every
+        byte after the header, and decodes only the payload line.  An
+        unreadable or damaged object, or one filed under another key,
+        counts as a miss (and bumps ``read_errors``) — the serving layer
+        recomputes and overwrites it rather than failing a sweep.
         """
-        record = self.record(key)
-        if record is None or record.get("key") != key or "payload" not in record:
-            if record is not None or os.path.exists(self._object_path(key)):
-                self.read_errors += 1
+        try:
+            data = _read_bytes(self._object_path(key))
+        except FileNotFoundError:
+            self.misses += 1
+            return None
+        except OSError:
+            data = b""
+        try:
+            stored, start, end = _checked(data)
+            payload = json.loads(data[start:end]) if stored == key.encode() else None
+        except ValueError:
+            payload = None
+        if type(payload) is not dict:
+            self.read_errors += 1
             self.misses += 1
             return None
         self.hits += 1
-        return record["payload"]
+        return payload
 
     def put(
         self,
@@ -532,15 +640,11 @@ class ResultStore:
             The object path, or ``None`` when the payload is not
             JSON-serialisable (the run simply is not cached).
         """
-        record = {
-            "schema": STORE_SCHEMA,
-            "key": key,
-            "identity": identity,
-            "signature": signature,
-            "payload": payload,
-        }
         try:
-            text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            data = _encode_object(
+                key, _dumps(payload),
+                _dumps({"identity": identity, "signature": signature}),
+            )
         except (TypeError, ValueError):
             return None
         if not os.path.isdir(self._prefix):
@@ -551,8 +655,8 @@ class ResultStore:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         # the thread id keeps two threads of one process off one temp file
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
         if identity is not None:
             self._file_marker(key, identity)
@@ -596,12 +700,30 @@ class ResultStore:
 
     def entries(self) -> Iterator[Tuple[Path, Optional[Dict[str, Any]]]]:
         """Iterate ``(path, record)`` over every object (record None if
-        unreadable or not a JSON object), in sorted path order for
-        deterministic reports."""
+        unreadable or damaged), in sorted path order for deterministic
+        reports."""
+        for path, record, _ in self._scan():
+            yield path, record
+
+    def _scan(self) -> Iterator[Tuple[Path, Optional[Dict[str, Any]], str]]:
+        """``(path, record, what is wrong)`` over every object (see
+        :func:`_load_record`), in sorted path order."""
         if not self.objects_dir.is_dir():
             return
         for path in sorted(self.objects_dir.glob("*/*.json")):
-            yield path, _read_record(path)
+            yield (path, *_load_record(path))
+
+    def _superseded(self) -> List[Path]:
+        """The object trees of older layouts (``<root>/v1/``), never read."""
+        try:
+            names = sorted(os.listdir(self._root))
+        except OSError:
+            return []
+        return [
+            self._root / name for name in names
+            if name[:1] == "v" and name[1:].isdigit()
+            and int(name[1:]) < STORE_LAYOUT and (self._root / name).is_dir()
+        ]
 
     # -- the identity index ---------------------------------------------------
 
@@ -680,7 +802,8 @@ class ResultStore:
     # -- administration -------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """Store-wide inventory: entries, bytes, apps, engines, profiles."""
+        """Store-wide inventory: entries, bytes, apps, engines, profiles,
+        and the files and bytes of superseded layouts' trees."""
         count = 0
         nbytes = 0
         apps: Dict[str, int] = {}
@@ -707,6 +830,15 @@ class ResultStore:
             if mp.startswith("MachineProfile("):
                 mp = "custom"
             profiles[mp] = profiles.get(mp, 0) + 1
+        old_files = old_bytes = 0
+        for tree in self._superseded():
+            for folder, _, names in os.walk(tree):
+                for name in names:
+                    old_files += 1
+                    try:
+                        old_bytes += os.path.getsize(os.path.join(folder, name))
+                    except OSError:
+                        pass
         return {
             "root": str(self.root),
             "entries": count,
@@ -715,36 +847,42 @@ class ResultStore:
             "by_app": apps,
             "by_engine": engines,
             "by_profile": profiles,
+            "superseded_files": old_files,
+            "superseded_bytes": old_bytes,
         }
 
     def verify(self) -> Tuple[int, List[str]]:
         """Re-derive every object's key from its stored signature, in one
         pass, and check the identity index against the objects.
 
+        Unlike a lookup, which checks the CRC and decodes the payload line
+        only, this decodes both lines of every object.
+
         Returns:
             ``(objects, problems)``: how many objects were read, and one
-            problem string per unreadable, mislabelled or content-drifted
-            object, per object missing from a complete index, and per
-            marker with no object or filed under another identity.  An
-            empty problem list means the store is sound.
+            problem string per unreadable, damaged (CRC mismatch),
+            mislabelled or content-drifted object, per object missing
+            from a complete index, and per marker with no object or filed
+            under another identity.  An empty problem list means the
+            store is sound.
         """
         problems: List[str] = []
         count = 0
         filed: Dict[str, Optional[str]] = {}
         complete = os.path.exists(os.path.join(self._index, _INDEX_COMPLETE))
-        for path, record in self.entries():
+        for path, record, damage in self._scan():
             count += 1
             if record is None:
-                problems.append(f"{path.name}: unreadable JSON")
+                problems.append(f"{path.name}: {damage}")
                 continue
             identity = filed[path.stem] = _identity_of(record)
             key = record.get("key")
             if path.stem != key:
                 problems.append(f"{path.name}: filed under the wrong key")
                 continue
-            sig = record.get("signature")
-            if sig is None or "payload" not in record:
-                problems.append(f"{path.name}: missing signature or payload")
+            sig = record["signature"]
+            if sig is None:
+                problems.append(f"{path.name}: missing signature")
                 continue
             if cache_key(sig) != key:
                 problems.append(
@@ -773,11 +911,16 @@ class ResultStore:
         Args:
             older_than_days: drop objects whose mtime is older than this.
             outdated: drop objects whose engine-version salt differs from
-                the running ``repro.__version__`` (they can never hit).
+                the running ``repro.__version__`` (they can never hit), and
+                the trees of older layouts (counted by their objects).
             everything: drop all objects.
-            corrupt: drop unreadable or key-mismatched objects.
+            corrupt: drop unreadable, damaged or key-mismatched objects.
         """
         removed = 0
+        if outdated:
+            for tree in self._superseded():
+                removed += sum(1 for _ in tree.glob("objects/*/*.json"))
+                shutil.rmtree(tree, ignore_errors=True)
         filed: Dict[str, Optional[str]] = {}
         cutoff = (
             time.time() - older_than_days * 86400.0

@@ -239,6 +239,7 @@ class Process:
         "result",
         "end_event",
         "_blocked_on",
+        "_all_of",
     )
 
     def __init__(self, engine: "Engine", gen: Generator, pid: int, name: str):
@@ -250,6 +251,9 @@ class Process:
         #: fires (with the process return value) when the generator returns
         self.end_event = Event(engine, name=f"end:{name}")
         self._blocked_on: Optional[str] = None
+        #: the ``AllOf`` this process waits on; its event waiters name only
+        #: the process, so a wait that never ends is no reference cycle
+        self._all_of: Optional["AllOf"] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.finished else (self._blocked_on or "ready")
@@ -302,6 +306,17 @@ class _DelayLane:
 
     def __len__(self) -> int:
         return (self._times.size - self._head) + len(self._buf) + len(self._heap)
+
+    def clear(self) -> None:
+        """Drop every queued entry (the heap list itself is kept: the
+        engine holds a direct reference to it)."""
+        self._times = _EMPTY_T
+        self._seqs = _EMPTY_S
+        self._head = 0
+        self.nlive = 0
+        self._payload.clear()
+        self._buf.clear()
+        self._heap.clear()
 
     def _flush(self) -> None:
         buf = self._buf
@@ -438,7 +453,6 @@ class Engine:
         self._seq: int = 0
         self._procs: List[Process] = []
         self._live: int = 0
-        self._error: Optional[BaseException] = None
         # run-loop statistics (the repo benchmark's traced pass reads these)
         self.zero_lane_hits = 0
         self.cohorts_drained = 0
@@ -519,10 +533,9 @@ class Engine:
             # engine breaks the engine -> _procs -> proc -> end_event cycle
             end.engine = None
             return
-        except BaseException as exc:
+        except BaseException:
             proc.finished = True
             self._live -= 1
-            self._error = exc
             raise
         if type(request) is Delay:
             proc._blocked_on = "delay"
@@ -562,24 +575,28 @@ class Engine:
         proc._blocked_on = "all-of"
         for ev in request.events:
             if not ev.fired:
+                proc._all_of = request
                 # the scan timer takes the slot a helper process's start took
-                self._schedule(0.0, None, (self._all_scan, (proc, request, 0)))
+                self._schedule(0.0, None, (self._all_scan, (proc, 0)))
                 return
         self._all_done(proc, request)
 
-    def _all_scan(self, proc: Process, request: AllOf, start: int, _value: Any = None) -> None:
-        """Register on the next unfired event from ``start``, or finish.
+    def _all_scan(self, proc: Process, start: int, _value: Any = None) -> None:
+        """Register on the next unfired event of ``proc._all_of`` from
+        ``start``, or finish.
 
         Runs at the scan timer's slot and then as the callback waiter of
         each event it waited on, resuming after that event, as the helper
         generator's ``for ev in events`` loop did.
         """
+        request = proc._all_of
         events = request.events
         for i in range(start, len(events)):
             ev = events[i]
             if not ev.fired:
-                ev._waiters.append((self._all_scan, (proc, request, i + 1)))
+                ev._waiters.append((self._all_scan, (proc, i + 1)))
                 return
+        proc._all_of = None
         self._all_done(proc, request)
 
     def _all_done(self, proc: Process, request: AllOf) -> None:
@@ -636,14 +653,38 @@ class Engine:
         gc.disable()
         try:
             self._run_batched(until)
+        except BaseException:
+            self._abandon()
+            raise
         finally:
             if collecting:
                 gc.enable()
         if self._live > 0 and not self._queued():
             blocked = [p for p in self._procs if not p.finished]
             names = ", ".join(f"{p.name}({p._blocked_on})" for p in blocked[:12])
-            raise Deadlock(f"{len(blocked)} process(es) blocked forever: {names}")
+            message = f"{len(blocked)} process(es) blocked forever: {names}"
+            self._abandon()
+            raise Deadlock(message)
         return self.now
+
+    def _abandon(self) -> None:
+        """Let go of a run that ended in an exception or a deadlock.
+
+        Its unfinished processes never resume.  Their generator frames
+        hold the contexts and events that hold them, a process's pending
+        ``AllOf`` holds events whose waiters name it, queued entries hold
+        processes and callbacks, and an unfired end event holds the
+        engine: all reference cycles.  Closing the generators first (their
+        ``finally`` blocks may still queue entries), then emptying the
+        queues and dropping the end events' engine leaves none.
+        """
+        for proc in self._procs:
+            if not proc.finished:
+                proc.gen = proc._all_of = None
+        self._zero.clear()
+        self._lane.clear()
+        for proc in self._procs:
+            proc.end_event.engine = None
 
     def _queued(self) -> bool:
         """True when any entry is still waiting to fire (early ``until`` return)."""

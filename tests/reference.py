@@ -22,6 +22,9 @@
   decode of every stored object, which
   :func:`repro.serving.invalidate.find_stale`'s identity-index lookup
   must agree with.
+* :func:`write_store_object`, the v2 object layout spelled out on its
+  own: ``ResultStore.put`` must write the same bytes, and a test files
+  any payload or meta line, sound or not, behind a header that holds.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -215,3 +219,25 @@ def reference_find_stale(cells, store):
         if ident in wanted and key not in wanted[ident]:
             stale.setdefault(ident, []).append(key)
     return stale
+
+
+def write_store_object(store, key, payload, meta):
+    """Write the v2 object file of ``key`` into ``store`` by hand.
+
+    ``payload`` and ``meta`` become the payload and meta lines: a ``str``
+    as it is, anything else as canonical JSON.  The header holds ``key``,
+    the CRC-32 of both lines (newlines included) as 8 hex digits, and the
+    payload line's byte length.  Returns the object path.
+    """
+    def line(value):
+        if not isinstance(value, str):
+            value = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return value.encode()
+
+    payload_line = line(payload)
+    body = payload_line + b"\n" + line(meta) + b"\n"
+    header = f"{key} {zlib.crc32(body):08x} {len(payload_line)}\n".encode()
+    path = store.path_for(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(header + body)
+    return path

@@ -8,6 +8,9 @@ makes must be freed by reference counting.  These tests hold both halves:
 * under ``gc.DEBUG_SAVEALL`` a ``gc.collect()`` finds no cyclic garbage
   right after a run (machine and result still held; this also sees any
   cycle made and dropped mid-run) and again once both are dropped;
+* a run that ends in a ``Deadlock`` or a rank's exception leaves none
+  either: its blocked ranks' frames, queued entries and posted receives
+  are let go;
 * ``Engine.run`` leaves ``gc.isenabled()`` as it found it however the
   run ends, and no collection fires while it drains.
 
@@ -150,6 +153,88 @@ def test_high_p_run_leaves_no_cyclic_garbage(app, model, faults):
 def test_generated_scenarios_leave_no_cyclic_garbage(cls, seed, model, nprocs, faults):
     spec = generate_scenario(cls, seed=seed, mesh_n=6, phases=3, solver_iters=4)
     assert_run_is_cycle_free("scenario", model, nprocs, faults, False, spec_config(spec))
+
+
+# -- runs that fail -----------------------------------------------------------------
+
+def _waitall(ctx):
+    request = yield from ctx.irecv(1)
+    yield from ctx.waitall([request])
+
+
+#: wait name -> (model, a wait on rank 1 that rank 1 never satisfies,
+#: what the Deadlock message says rank 0 is blocked on)
+WAITS = {
+    "mpi-recv": ("mpi", lambda ctx: ctx.recv(1), "hop"),
+    "mpi-waitall": ("mpi", _waitall, "all-of"),
+    "shmem-broadcast": ("shmem", lambda ctx: ctx.broadcast(None, root=1),
+                        "event:sig:(0, ('bc', 1, 1))"),
+    "sas-barrier": ("sas", lambda ctx: ctx.barrier(), "event:sas-barrier"),
+}
+
+FAILURES = [(wait, ending) for wait in WAITS for ending in ("deadlock", "raise")]
+
+
+def _failing_program(wait: str, ending: str):
+    """Rank 0 blocks in ``WAITS[wait]``; rank 1 returns, or raises."""
+    _, wait, _ = WAITS[wait]
+
+    def program(ctx):
+        if ctx.rank == 0:
+            yield from wait(ctx)
+        yield Delay(5)
+        if ending == "raise":
+            raise KeyError("rank failed")
+        return ctx.rank
+
+    return program
+
+
+def _run_failing(model: str, program, nprocs: int = 2, arg=None,
+                 faults: str = "none"):
+    """``(machine, what the run raised)``; the exception itself is dropped."""
+    machine = Machine(MachineConfig(nprocs=nprocs), faults=faults)
+    try:
+        run_program(model, program, nprocs, *([] if arg is None else [arg]),
+                    machine=machine)
+    except Exception as exc:  # noqa: BLE001 - returned for the caller to check
+        return machine, (type(exc), str(exc))
+    return machine, None
+
+
+def _assert_failure_is_cycle_free(*launch):
+    """Run a failing cell twice (warm, then checked); returns what it raised."""
+    _run_failing(*launch)
+    with _save_all():
+        machine, raised = _run_failing(*launch)
+        during = _cyclic_garbage()
+        del machine
+        after = _cyclic_garbage()
+    assert not during, f"cyclic garbage right after the run: {during.most_common(8)}"
+    assert not after, f"cyclic garbage once the run was dropped: {after.most_common(8)}"
+    return raised
+
+
+@pytest.mark.parametrize(
+    "wait,ending", FAILURES, ids=[f"{w}-{e}" for w, e in FAILURES]
+)
+def test_failed_run_leaves_no_cyclic_garbage(wait, ending):
+    raised = _assert_failure_is_cycle_free(WAITS[wait][0], _failing_program(wait, ending))
+    if ending == "raise":
+        assert raised == (KeyError, "'rank failed'")
+    else:
+        blocked_on = WAITS[wait][2]
+        assert raised == (Deadlock, f"1 process(es) blocked forever: rank0({blocked_on})")
+
+
+def test_failed_fault_recovery_leaves_no_cyclic_garbage():
+    # this cell gives up retransmitting under bursty-links while ranks
+    # wait in AllOfs and spawned SHMEM put and collective processes
+    cfg = AdaptConfig(mesh_n=16)
+    script = _script(cfg, 16, "bursty-links")
+    raised = _assert_failure_is_cycle_free(
+        "shmem", _programs("adapt")["shmem"], 16, script, "bursty-links")
+    assert raised[0].__name__ == "FaultRecoveryError"
 
 
 # -- the collector's state around Engine.run -------------------------------------

@@ -11,9 +11,12 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.adapt import AdaptConfig
 from repro.apps.jacobi import JacobiConfig
@@ -33,6 +36,8 @@ from repro.serving import (
     summarize_result,
     summary_from_payload,
 )
+from repro.serving.store import STORE_LAYOUT
+from tests.reference import write_store_object
 
 SMALL = JacobiConfig(nx=32, ny=32, iters=4)
 ADAPT = AdaptConfig(mesh_n=8, phases=2, solver_iters=2)
@@ -162,7 +167,7 @@ class TestResultStore:
         sig = run_signature("jacobi", "mpi", 2, SMALL)
         key = cache_key(sig)
         store.put(key, sig, {"model": "mpi"})
-        store.path_for(key).write_text("{not json")
+        write_store_object(store, key, "{not json", {"identity": None, "signature": sig})
         assert store.get(key) is None
         assert store.read_errors == 1
 
@@ -171,7 +176,7 @@ class TestResultStore:
         sig = run_signature("jacobi", "mpi", 2, SMALL)
         key = cache_key(sig)
         store.put(key, sig, {"model": "mpi"}, identity="jacobi/cell")
-        store.path_for(key).write_text("[1]")
+        write_store_object(store, key, "[1]", "[1]")
         assert store.get(key) is None and store.read_errors == 1
         assert store.verify() == (1, [f"{key}.json: unreadable JSON"])
         assert store.stats()["unreadable"] == 1
@@ -183,19 +188,17 @@ class TestResultStore:
         sig = run_signature("jacobi", "mpi", 2, SMALL)
         key = cache_key(sig)
         store.put(key, sig, {"model": "mpi"}, identity="jacobi/cell")
-        record = json.loads(store.path_for(key).read_text())
-        record["identity"] = 5
-        store.path_for(key).write_text(json.dumps(record))
+        meta = {"identity": 5, "signature": sig}
+        write_store_object(store, key, {"model": "mpi"}, meta)
         shutil.rmtree(store.index_dir)
         assert store.keys_of("jacobi/cell") == []  # the full scan files nothing
         assert store.verify() == (1, [])
         assert store.gc() == 0 and store.verify() == (1, [])
-        record["signature"] = [1]
-        store.path_for(key).write_text(json.dumps(record))
+        meta["signature"] = [1]
+        write_store_object(store, key, {"model": "mpi"}, meta)
         assert store.stats()["by_app"] == {"?": 1}
         assert store.gc(outdated=True) == 1
-        store.path_for(key).parent.mkdir(exist_ok=True)
-        store.path_for(key).write_text(json.dumps(record))
+        write_store_object(store, key, {"model": "mpi"}, meta)
         assert store.delete(key) and store.verify() == (0, [])
 
     def test_verify_flags_drifted_content(self, tmp_path):
@@ -204,9 +207,9 @@ class TestResultStore:
         key = cache_key(sig)
         store.put(key, sig, {"model": "mpi"})
         assert store.verify() == (1, [])
-        record = json.loads(store.path_for(key).read_text())
-        record["signature"]["nprocs"] = 64  # content no longer hashes to the key
-        store.path_for(key).write_text(json.dumps(record))
+        drifted = dict(sig, nprocs=64)  # content no longer hashes to the key
+        write_store_object(store, key, {"model": "mpi"},
+                           {"identity": None, "signature": drifted})
         assert len(store.verify()[1]) == 1
 
     def test_gc_outdated_and_everything(self, tmp_path):
@@ -224,6 +227,151 @@ class TestResultStore:
         sig = run_signature("jacobi", "mpi", 2, SMALL)
         assert store.put(cache_key(sig), sig, {"bad": object()}) is None
         assert store.stats()["entries"] == 0
+
+
+#: a payload whose floats print with many digits
+FLOATS = {"model": "mpi", "nprocs": 2, "elapsed_ns": 123456.78125,
+          "rank_results": [0.1, -2.5e-7]}
+
+
+def _stored(tmp_path, payload=FLOATS, identity="jacobi/cell"):
+    """A store holding ``payload`` under a jacobi cell's key."""
+    store = ResultStore(tmp_path)
+    sig = run_signature("jacobi", "mpi", 2, SMALL)
+    key = cache_key(sig)
+    store.put(key, sig, payload, identity=identity)
+    return store, sig, key
+
+
+def _edit_line(path, line, old, new):
+    """Replace the first ``old`` in line ``line`` of the file ``path``."""
+    lines = path.read_bytes().split(b"\n")
+    assert old in lines[line]
+    lines[line] = lines[line].replace(old, new, 1)
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestStoreIntegrity:
+    """Every byte of an object is checked before it is served."""
+
+    def test_object_bytes_match_the_layout(self, tmp_path):
+        store, sig, key = _stored(tmp_path)
+        path = store.path_for(key)
+        stored = path.read_bytes()
+        assert path == tmp_path / f"v{STORE_LAYOUT}" / "objects" / key[:2] / f"{key}.json"
+        write_store_object(store, key, FLOATS, {"identity": "jacobi/cell", "signature": sig})
+        assert path.read_bytes() == stored
+
+    def test_flipped_payload_digit_is_a_miss(self, tmp_path):
+        store, _, key = _stored(tmp_path)
+        _edit_line(store.path_for(key), 1, b"123456.78125", b"123456.78126")
+        assert store.get(key) is None
+        assert (store.read_errors, store.misses, store.hits) == (1, 1, 0)
+        assert store.verify() == (1, [f"{key}.json: checksum mismatch"])
+        assert store.gc(corrupt=True) == 1
+        assert not store.contains(key) and store.verify() == (0, [])
+
+    def test_damaged_meta_line_fails_the_crc(self, tmp_path):
+        store, _, key = _stored(tmp_path)
+        _edit_line(store.path_for(key), 2, b'"jacobi/cell"', b'"jacobi/cels"')
+        assert store.get(key) is None and store.read_errors == 1
+        assert store.record(key) is None
+        assert store.verify()[1] == [f"{key}.json: checksum mismatch"]
+
+    def test_header_of_another_key_is_a_miss(self, tmp_path):
+        store, sig, key = _stored(tmp_path)
+        other = cache_key(dict(sig, nprocs=4))
+        _edit_line(store.path_for(key), 0, key.encode(), other.encode())
+        assert store.get(key) is None and store.read_errors == 1
+        assert store.verify()[1] == [f"{key}.json: filed under the wrong key"]
+
+    @pytest.mark.parametrize("keep", [0, 40, 64, 75, -200, -1])
+    def test_truncated_object_is_a_miss(self, tmp_path, keep):
+        store, _, key = _stored(tmp_path)
+        path = store.path_for(key)
+        path.write_bytes(path.read_bytes()[:keep])
+        assert store.get(key) is None
+        assert (store.read_errors, store.misses) == (1, 1)
+        assert len(store.verify()[1]) == 1
+
+    def test_large_object_round_trips(self, tmp_path):
+        payload = dict(FLOATS, rank_results=[i / 7 for i in range(4000)])
+        store, _, key = _stored(tmp_path, payload)
+        assert store.path_for(key).stat().st_size > 4 * 16384
+        assert store.get(key) == payload and store.verify() == (1, [])
+
+    def test_superseded_layout_is_never_read_and_gc_removes_it(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        sig = run_signature("jacobi", "mpi", 2, SMALL)
+        key = cache_key(sig)
+        identity = run_identity("jacobi", "mpi", 2, SMALL)
+        old = tmp_path / "v1"
+        (old / "objects" / key[:2]).mkdir(parents=True)
+        (old / "objects" / key[:2] / f"{key}.json").write_text(json.dumps({
+            "schema": 1, "key": key, "identity": identity, "signature": sig,
+            "payload": FLOATS,
+        }))
+        (old / "index").mkdir()
+        (old / "index" / "COMPLETE").touch()
+        newer = tmp_path / f"v{STORE_LAYOUT + 1}"
+        newer.mkdir()
+        opened = []
+        real_open = os.open
+        monkeypatch.setattr(os, "open", lambda path, *a: opened.append(str(path))
+                            or real_open(path, *a))
+        assert store.get(key) is None and store.read_errors == 0
+        assert store.keys_of(identity) == [] and store.verify() == (0, [])
+        monkeypatch.setattr(os, "open", real_open)
+        assert not [p for p in opened if os.sep + "v1" + os.sep in p]
+        stats = store.stats()
+        assert stats["entries"] == 0
+        assert stats["superseded_files"] == 2
+        assert stats["superseded_bytes"] == sum(
+            f.stat().st_size for f in old.rglob("*") if f.is_file())
+        assert store.gc() == 0 and old.is_dir()
+        assert store.gc(outdated=True) == 1
+        assert not old.exists() and newer.is_dir()
+        assert store.stats()["superseded_files"] == 0
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0]),
+    st.text(),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def _canonical(value):
+    """JSON text that tells -0.0 from 0.0 and 1 from 1.0."""
+    return json.dumps(value, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    payload=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6),
+    identity=st.text(min_size=1),
+    extra=JSON_VALUES,
+)
+def test_get_of_put_round_trips_any_payload(payload, identity, extra):
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(root)
+        sig = dict(run_signature("jacobi", "mpi", 2, SMALL), extra=extra)
+        key = cache_key(sig)
+        assert store.put(key, sig, payload, identity=identity) is not None
+        got = store.get(key)
+        assert got == payload and _canonical(got) == _canonical(payload)
+        record = store.record(key)
+        assert record["identity"] == identity and record["key"] == key
+        assert _canonical(record["signature"]) == _canonical(sig)
+        assert store.verify() == (1, [])
+        assert store.keys_of(identity) == [key]
 
 
 class TestRunAppStore:

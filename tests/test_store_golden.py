@@ -1,12 +1,13 @@
-"""Golden store keys: a lookup must keep reading what older stores wrote.
+"""Golden store keys: a lookup must keep finding what older stores wrote.
 
 ``tests/golden/store_keys.json`` (written by ``tools/record_store_golden.py``)
 pins, for a grid crossing every workload kind with fault specs,
 ``derived`` switches, machine profiles and placements, the sha256 of each
 cell's canonical signature text, its store key, and the bytes of the
 object ``ResultStore.put`` files for it.  A moved key would silently turn
-every existing store into misses, so any difference here is a break of
-the on-disk contract, not a refactor.
+every existing store into misses, so any difference in a key is a break
+of the on-disk contract, not a refactor; object bytes move only with a
+new ``STORE_LAYOUT``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ touch, and that threads of one process can store one key at once.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
 import sys
@@ -56,18 +55,19 @@ def _legacy_store(root, cells):
     return ResultStore(root)
 
 
-class _Decodes:
-    """Counts ``json.loads`` calls that decode a store object, by its key."""
+class _Reads:
+    """Records the key of every store object opened for reading."""
 
     def __init__(self):
         self.keys = []
-        self._loads = json.loads
+        self._open = os.open
 
-    def __call__(self, text, *args, **kwargs):
-        value = self._loads(text, *args, **kwargs)
-        if isinstance(value, dict) and "payload" in value:
-            self.keys.append(value.get("key"))
-        return value
+    def __call__(self, path, flags, *args, **kwargs):
+        fd = self._open(path, flags, *args, **kwargs)
+        path = str(path)
+        if path.endswith(".json") and not flags & os.O_CREAT:
+            self.keys.append(os.path.basename(path)[:-len(".json")])
+        return fd
 
 
 OPS = st.one_of(
@@ -135,14 +135,14 @@ def test_refresh_reads_no_object_outside_the_spec(tmp_path, monkeypatch):
     for cell in CELLS[:4] + [Cell("jacobi", "sas", 2, old)]:
         _put(store, cell)
     spec = CELLS[:4] + [CELLS[-1]]  # CELLS[-1] supersedes the ``old`` cell
-    decodes = _Decodes()
-    monkeypatch.setattr(json, "loads", decodes)
+    reads = _Reads()
+    monkeypatch.setattr(os, "open", reads)
     with mock.patch.object(scheduler, "_compute_cell", _fake_compute):
         _, report = refresh(spec, store, gc_stale=True)
     assert (report["hits"], report["misses"]) == (4, 1)
     assert report["invalidated"] == 1 and report["stale_removed"] == 1
-    assert not unrelated & set(decodes.keys)
-    assert len(decodes.keys) <= len(spec) + 2  # served hits + the stale entry
+    assert not unrelated & set(reads.keys)
+    assert len(reads.keys) <= len(spec) + 2  # served hits + the stale entry
 
 
 def test_store_without_index_is_indexed_once(tmp_path, monkeypatch):
@@ -150,13 +150,13 @@ def test_store_without_index_is_indexed_once(tmp_path, monkeypatch):
     unrelated = _unrelated(store, 50)
     shutil.rmtree(store.index_dir)
     expected = reference_find_stale(CELLS[2:3], store)
-    decodes = _Decodes()
-    monkeypatch.setattr(json, "loads", decodes)
+    reads = _Reads()
+    monkeypatch.setattr(os, "open", reads)
     assert find_stale(CELLS[2:3], store) == expected
-    assert unrelated <= set(decodes.keys)  # the one full scan
-    decodes.keys.clear()
+    assert unrelated <= set(reads.keys)  # the one full scan
+    reads.keys.clear()
     assert find_stale(CELLS[2:3], ResultStore(tmp_path)) == expected
-    assert not unrelated & set(decodes.keys)
+    assert not unrelated & set(reads.keys)
 
 
 def _folder(cell):

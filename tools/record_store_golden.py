@@ -7,7 +7,7 @@ the store signs it exactly as this script recorded:
 * ``signature_sha256``: sha256 of ``canonical_json(cell.signature())``;
 * ``key``: ``cell.key()``, the content address a lookup reads;
 * ``record_sha256``: sha256 of the object file ``ResultStore.put`` writes
-  for the cell with a fixed payload.
+  for the cell with a fixed payload (in the ``STORE_LAYOUT`` layout).
 
 The grid crosses every workload kind (default, default and custom
 ``AdaptConfig``, ``Adapt3DConfig``, ``JacobiConfig``, ``NBodyConfig``, a
@@ -17,7 +17,8 @@ The grid crosses every workload kind (default, default and custom
 registered name, a custom overlay) and both placements.  A key that
 moves means every store written before it stops hitting, so re-record
 only with an intentional ``STORE_SCHEMA`` or ``repro.__version__``
-change (and say so in the commit):
+change, or with a new ``STORE_LAYOUT``, which moves only
+``record_sha256`` (and say so in the commit):
 
     PYTHONPATH=src python tools/record_store_golden.py
 """
