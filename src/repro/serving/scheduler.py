@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.serving.store import (
     ResultStore,
@@ -240,6 +240,8 @@ def run_cells(
             pending.append((i, cell, signed))
         else:
             pending.append((i, cell, None))
+    if not pending:  # every cell was served: there is no task to run
+        return cast(List[CellResult], results)
     computed = run_tasks(
         _compute_cell, [c.run_kwargs() for _, c, _ in pending],
         jobs=jobs, timeout=timeout,

@@ -22,9 +22,10 @@
   decode of every stored object, which
   :func:`repro.serving.invalidate.find_stale`'s identity-index lookup
   must agree with.
-* :func:`write_store_object`, the v2 object layout spelled out on its
+* :func:`write_store_object`, the v3 object layout spelled out on its
   own: ``ResultStore.put`` must write the same bytes, and a test files
-  any payload or meta line, sound or not, behind a header that holds.
+  any payload bytes or meta line, sound or not, behind a header that
+  holds.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import marshal
 import os
 import zlib
 from pathlib import Path
@@ -222,21 +224,24 @@ def reference_find_stale(cells, store):
 
 
 def write_store_object(store, key, payload, meta):
-    """Write the v2 object file of ``key`` into ``store`` by hand.
+    """Write the v3 object file of ``key`` into ``store`` by hand.
 
-    ``payload`` and ``meta`` become the payload and meta lines: a ``str``
-    as it is, anything else as canonical JSON.  The header holds ``key``,
-    the CRC-32 of both lines (newlines included) as 8 hex digits, and the
-    payload line's byte length.  Returns the object path.
+    ``payload`` becomes the payload span: ``bytes`` as they are, anything
+    else as ``marshal`` format 2 of its canonical JSON's value.  ``meta``
+    becomes the meta line: a ``str`` as it is, anything else as canonical
+    JSON.  The header holds ``key``, the CRC-32 of the payload, the meta
+    line and the newline after each as 8 hex digits, and the payload's
+    byte length.  Returns the object path.
     """
-    def line(value):
-        if not isinstance(value, str):
-            value = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        return value.encode()
+    def canonical(value):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
-    payload_line = line(payload)
-    body = payload_line + b"\n" + line(meta) + b"\n"
-    header = f"{key} {zlib.crc32(body):08x} {len(payload_line)}\n".encode()
+    if not isinstance(payload, bytes):
+        payload = marshal.dumps(json.loads(canonical(payload)), 2)
+    if not isinstance(meta, str):
+        meta = canonical(meta)
+    body = payload + b"\n" + meta.encode() + b"\n"
+    header = f"{key} {zlib.crc32(body):08x} {len(payload)}\n".encode()
     path = store.path_for(key)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(header + body)
