@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.models.mpi.requests import Request, Status
+from repro.models.payload import checked_nbytes
 
 __all__ = ["MpiComm"]
 
@@ -114,6 +115,8 @@ class MpiComm:
         recvtag: int = 0,
         nbytes: Optional[int] = None,
     ) -> Generator:
+        if nbytes is not None:
+            checked_nbytes(nbytes)  # refuse a bad size before the receive posts
         rreq = yield from self.irecv(source, recvtag)
         sreq = yield from self.isend(payload, dest, sendtag, nbytes)
         results = yield from Request.waitall(self.parent, [rreq, sreq])

@@ -16,7 +16,7 @@ from repro.machine.machine import Machine
 from repro.models.base import BaseContext
 from repro.models.mpi.matchq import MatchQueue
 from repro.models.mpi.requests import Request, Status, _copy_out, _fill_status
-from repro.models.payload import nbytes_of
+from repro.models.payload import checked_nbytes, nbytes_of
 from repro.sim.engine import Delay, Event, Hop, SimError, WaitEvent
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "MpiWorld", "MpiContext"]
@@ -261,7 +261,7 @@ class MpiContext(BaseContext):
         """Nonblocking send; returns a :class:`Request`."""
         if not 0 <= dest < self.nprocs:
             raise ValueError(f"bad destination rank {dest}")
-        size = nbytes_of(payload) if nbytes is None else int(nbytes)
+        size = nbytes_of(payload) if nbytes is None else checked_nbytes(nbytes)
         t0 = self.now
         self.stats.msgs_sent += 1
         self.stats.bytes_sent += size
@@ -478,6 +478,8 @@ class MpiContext(BaseContext):
         nbytes: Optional[int] = None,
     ) -> Generator:
         """Simultaneous send and receive (deadlock-free exchange)."""
+        if nbytes is not None:
+            checked_nbytes(nbytes)  # refuse a bad size before the receive posts
         rreq = yield from self.irecv(source, recvtag)
         sreq = yield from self.isend(payload, dest, sendtag, nbytes)
         results = yield from Request.waitall(self, [rreq, sreq])

@@ -12,7 +12,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-__all__ = ["nbytes_of"]
+__all__ = ["checked_nbytes", "nbytes_of"]
 
 _SCALAR_BYTES = 8
 _CONTAINER_OVERHEAD = 16
@@ -22,6 +22,19 @@ _CONTAINER_OVERHEAD = 16
 # common items
 _SCALAR_TYPES = frozenset((bool, int, float, complex))
 _SEQUENCE_TYPES = frozenset((list, tuple, set, frozenset))
+
+
+def checked_nbytes(nbytes: Any) -> int:
+    """An explicit ``nbytes=`` as an ``int``, refused when negative.
+
+    A negative size would count negative bytes sent and schedule a copy
+    that ends before it starts, so a send checks it before any counter
+    or clock moves.
+    """
+    size = int(nbytes)
+    if size < 0:
+        raise ValueError(f"negative message size {size}")
+    return size
 
 
 def nbytes_of(payload: Any) -> int:

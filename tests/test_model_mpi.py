@@ -175,6 +175,37 @@ class TestPointToPoint:
         with pytest.raises(ValueError):
             run_mpi(program, 2)
 
+    @pytest.mark.parametrize("faults", [None, "bursty-links"])
+    @pytest.mark.parametrize("call", ["isend", "send", "sendrecv", "comm-isend", "comm-sendrecv"])
+    def test_negative_nbytes_raises_at_the_call(self, faults, call):
+        def bad(ctx, comm):
+            if call == "isend":
+                yield from ctx.isend(b"x", 1, 0, nbytes=-80_000)
+            elif call == "send":
+                yield from ctx.send(b"x", 1, nbytes=-1)
+            elif call == "sendrecv":
+                yield from ctx.sendrecv(b"x", 1, 1, nbytes=-80_000)
+            elif call == "comm-isend":
+                yield from comm.isend(b"x", 1, 0, nbytes=-80_000)
+            else:
+                yield from comm.sendrecv(b"x", 1, 1, nbytes=-80_000)
+
+        def program(ctx):
+            comm = yield from ctx.comm_split(0, ctx.rank)
+            if ctx.rank == 1:
+                got = yield from ctx.recv(0)
+                return got
+            before = (ctx.stats.msgs_sent, ctx.stats.bytes_sent, ctx.now)
+            with pytest.raises(ValueError, match="negative message size"):
+                yield from bad(ctx, comm)
+            after = (ctx.stats.msgs_sent, ctx.stats.bytes_sent, ctx.now)
+            yield from ctx.send(b"ok", 1)  # the rank sends on unharmed
+            return before, after
+
+        res = run_mpi(program, 2, faults=faults)
+        (before, after), got = res.rank_results
+        assert after == before and got == b"ok"
+
 
 class TestCollectives:
     @pytest.mark.parametrize("n", NPROC_SET)
