@@ -5,12 +5,14 @@ The paper's real meshes (rotor-blade CFD) were tetrahedral; this is the
 refinement kills a parent and appends children, midpoint vertices are
 memoised per undirected edge (which keeps refinement conforming across
 faces), and green (bisection) families are recorded for per-phase
-dissolution.
+dissolution.  The alive mesh's edge table is cached until the next
+:meth:`TetMesh.add_tet`, :meth:`TetMesh.kill` or :meth:`TetMesh.revive`,
+the only writers of ``tets`` and ``alive``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -55,6 +57,7 @@ class TetMesh:
         self.level: List[int] = []
         self.green: Set[int] = set()
         self.edge_midpoint: Dict[EdgeKey, int] = {}
+        self._edges: Optional[Dict[EdgeKey, List[int]]] = None
         for t in tets:
             self.add_tet(*t)
         self._check_initial()
@@ -80,6 +83,7 @@ class TetMesh:
 
     def add_tet(self, a: int, b: int, c: int, d: int, parent: int = -1) -> int:
         tid = len(self.tets)
+        self._edges = None
         self.tets.append((a, b, c, d))
         self.alive.append(True)
         self.parent.append(parent)
@@ -132,12 +136,17 @@ class TetMesh:
         )
 
     def edges(self) -> Dict[EdgeKey, List[int]]:
-        """Undirected edge -> alive tets using it."""
-        table: Dict[EdgeKey, List[int]] = {}
-        for tid in self.alive_tets():
-            for e in self.tet_edges(tid):
-                table.setdefault(e, []).append(tid)
-        return table
+        """Undirected edge -> alive tets using it, cached until a mutation.
+
+        Callers share the cached table and must not modify it.
+        """
+        if self._edges is None:
+            table: Dict[EdgeKey, List[int]] = {}
+            for tid in self.alive_tets():
+                for e in tet_edges_of(self.tets[tid]):
+                    table.setdefault(e, []).append(tid)
+            self._edges = table
+        return self._edges
 
     def faces(self) -> Dict[FaceKey, List[int]]:
         """Face -> alive tets sharing it (1 boundary, 2 interior)."""
@@ -174,11 +183,13 @@ class TetMesh:
     def kill(self, tid: int) -> None:
         if not self.alive[tid]:
             raise ValueError(f"tet {tid} already dead")
+        self._edges = None
         self.alive[tid] = False
 
     def revive(self, tid: int) -> None:
         if self.alive[tid]:
             raise ValueError(f"tet {tid} already alive")
+        self._edges = None
         self.alive[tid] = True
 
     # -- integrity -------------------------------------------------------------------
@@ -193,15 +204,14 @@ class TetMesh:
         for f, ts in self.faces().items():
             if len(ts) > 2:
                 raise AssertionError(f"face {f} shared by {len(ts)} tets: {ts}")
-        verts = self.verts_array()
-        for tid in self.alive_tets():
-            a, b, c, d = self.tets[tid]
-            vol = _signed_volume(verts[a], verts[b], verts[c], verts[d])
-            if abs(vol) < 1e-16:
-                raise AssertionError(f"tet {tid} degenerate (volume {vol})")
-        used: Set[int] = set()
-        for tid in self.alive_tets():
-            used.update(self.tets[tid])
+        tids = np.flatnonzero(self.alive)
+        rows = np.asarray(self.tets, dtype=np.int64).reshape(-1, 4)[tids]
+        vols = _signed_volumes(self.verts_array().reshape(-1, 3)[rows])
+        degenerate = np.flatnonzero(np.abs(vols) < 1e-16)
+        if len(degenerate):
+            at = degenerate[0]
+            raise AssertionError(f"tet {tids[at]} degenerate (volume {float(vols[at])})")
+        used = set(rows.ravel().tolist())
         for e in self.edges():
             mid = self.edge_midpoint.get(e)
             if mid is not None and mid in used:
@@ -216,6 +226,7 @@ class TetMesh:
         )
 
 
-def _signed_volume(p0, p1, p2, p3) -> float:
-    m = np.asarray([p1, p2, p3]) - np.asarray(p0)
-    return float(np.linalg.det(m)) / 6.0
+def _signed_volumes(corners: np.ndarray) -> np.ndarray:
+    """Signed volume of each ``(4, 3)`` corner block of ``corners``: one
+    batched determinant of the edge vectors from corner 0, over 6."""
+    return np.linalg.det(corners[:, 1:] - corners[:, :1]) / 6.0

@@ -49,6 +49,49 @@ class TestTetMesh:
         for f, ts in m.faces().items():
             assert 1 <= len(ts) <= 2
 
+    def test_edge_table_is_cached_until_a_mutation(self):
+        def brute(m):
+            table = {}
+            for tid in m.alive_tets():
+                for e in m.tet_edges(tid):
+                    table.setdefault(e, []).append(tid)
+            return table
+
+        m = structured_tet_mesh(2)
+        first = m.edges()
+        assert m.edges() is first and first == brute(m)
+        m.midpoint(next(iter(first)))  # a new vertex changes no edge
+        assert m.edges() is first
+        for mutate in (lambda: m.kill(5), lambda: m.revive(5),
+                       lambda: m.add_tet(0, 1, 3, 9)):
+            before = m.edges()
+            mutate()
+            after = m.edges()
+            assert after is not before and after == brute(m)
+            assert list(after) == list(brute(m))  # first-use order, too
+
+    def test_validate_names_the_first_degenerate_tet(self):
+        def volume(p0, p1, p2, p3):  # the one-tet-at-a-time formula
+            return float(np.linalg.det(np.asarray([p1, p2, p3]) - np.asarray(p0))) / 6.0
+
+        verts = np.asarray([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                            [2, 2, 3e-18], [0.5, 0.5, 1e-17], [3, 0, 0]], dtype=float)
+        tets = [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5), (1, 6, 2, 3), (1, 2, 4, 0)]
+        m = TetMesh(verts, tets)
+        m.kill(0)  # the faces check counts only alive tets
+        m.kill(1)  # a dead degenerate tet is never reported
+        first = 2
+        vol = volume(*verts[list(tets[first])])
+        assert abs(vol) < 1e-16
+        with pytest.raises(AssertionError) as err:
+            m.validate()
+        assert str(err.value) == f"tet {first} degenerate (volume {vol})"
+        m.kill(first)
+        with pytest.raises(AssertionError) as err:
+            m.validate()
+        vol = volume(*verts[list(tets[4])])
+        assert str(err.value) == f"tet 4 degenerate (volume {vol})"
+
     def test_edges_and_midpoints(self):
         m = structured_tet_mesh(1)
         e = next(iter(m.edges()))
