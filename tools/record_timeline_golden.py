@@ -51,7 +51,11 @@ Cases:
   boundary-mark, migration and coarsening-handoff tables are all
   non-empty (``mesh_n=8, phases=3``);
 * ``adapt3d/<model>/<P>``: the 3-D application on the default
-  ``Adapt3DConfig`` under every model at P=8, traced.
+  ``Adapt3DConfig`` under every model at P=8, traced;
+* ``sharers/<scheme>/<P>``: the ``adapt-sas`` workload under the
+  ``dir_sharers`` schemes that bill other than the exact bit-vector —
+  a coarse vector of 4-CPU groups (``coarse:4``) and two limited
+  pointers that broadcast on overflow (``ptr:2``) — at P in {16, 64}.
 
 The P=12 ``engine`` rows, the ``mpi-waits`` rows, the ``contended-net``
 rows and the ``nbody-shmem`` rows also record the engine's ``seq`` count
@@ -93,6 +97,8 @@ CONTENDED_MODELS = ("shmem", "mpi")
 CONTENDED_PROCS = (8, 64)
 ADAPT_COARSEN_PROCS = (8, 64)
 ADAPT3D_PROCS = (8,)
+SHARER_SCHEMES = ("coarse:4", "ptr:2")
+SHARER_PROCS = (16, 64)
 
 _HALO_TAG = 5
 _FLOOD_TAG = 100
@@ -446,6 +452,7 @@ def cases() -> List[str]:
     names += [f"contended-net/{m}/{p}" for m in CONTENDED_MODELS for p in CONTENDED_PROCS]
     names += [f"adapt-coarsen/{m}/{p}" for m in MODELS for p in ADAPT_COARSEN_PROCS]
     names += [f"adapt3d/{m}/{p}" for m in MODELS for p in ADAPT3D_PROCS]
+    names += [f"sharers/{s}/{p}" for s in SHARER_SCHEMES for p in SHARER_PROCS]
     return names
 
 
@@ -459,16 +466,22 @@ SEQ_CASES = frozenset(
 
 
 def case_machine(name: str) -> Any:
-    """A fresh machine for one case (per-link stats on for ``contended-net``).
+    """A fresh machine for one case.
 
-    The router network needs a power-of-two CPU count, so a P=12 case runs
-    its 12 ranks on a 16-CPU machine.
+    Per-link stats are on for ``contended-net``, and a ``sharers`` case
+    selects its ``dir_sharers`` scheme.  The router network needs a
+    power-of-two CPU count, so a P=12 case runs its 12 ranks on a 16-CPU
+    machine.
     """
     from repro.machine import Machine, MachineConfig
 
     nprocs = int(name.rsplit("/", 1)[-1].rsplit("-", 1)[-1])
     cpus = 1 << (nprocs - 1).bit_length()
-    derived = {"link_stats": "on"} if name.startswith("contended-net/") else {}
+    derived = {}
+    if name.startswith("contended-net/"):
+        derived["link_stats"] = "on"
+    elif name.startswith("sharers/"):
+        derived["dir_sharers"] = name.split("/")[1]
     return Machine(MachineConfig(nprocs=cpus, derived=derived))
 
 
@@ -498,6 +511,10 @@ def run_case(name: str, machine: Any = None):
         script = build_script(config, int(p))
         return run_program(model, ADAPT_PROGRAMS[model], int(p), script,
                            machine=machine, trace=True)
+    if name.startswith("sharers/"):
+        p = int(name.rsplit("/", 1)[1])
+        script = build_script(adapt_workload("sas"), p)
+        return run_program("sas", ADAPT_PROGRAMS["sas"], p, script, machine=machine)
     kind, p = name.split("/")
     if kind == "engine":
         model, p = p.split("-")
