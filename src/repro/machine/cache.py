@@ -104,11 +104,8 @@ class CacheModel:
     def _way_of(self, s: int, line: int) -> int:
         if s >= self.rows:
             return -1
-        row = self._tags[s]
-        for w in range(self.assoc):
-            if row[w] == line:
-                return w
-        return -1
+        row = self._tags[s].tolist()  # Python ints: no NumPy scalar per way
+        return row.index(line) if line in row else -1
 
     def access(self, line: int, write: bool) -> Tuple[bool, Optional[int]]:
         """Access a line; returns ``(hit, evicted_dirty_line_or_None)``.
@@ -120,26 +117,27 @@ class CacheModel:
         eviction.
         """
         s = line % self.sets
-        w = self._way_of(s, line)
-        if w >= 0:
-            self.hits += 1
-            self._stamp[s, w] = self._clock
-            self._clock += 1
-            if write:
-                self._dirty[s, w] = True
-            return True, None
+        if s < self.rows:
+            row = self._tags[s].tolist()
+            if line in row:
+                w = row.index(line)
+                self.hits += 1
+                self._stamp[s, w] = self._clock
+                self._clock += 1
+                if write:
+                    self._dirty[s, w] = True
+                return True, None
+        else:
+            self._grow(s)
+            row = self._tags[s].tolist()
         self.misses += 1
-        self._grow(s)
-        row = self._tags[s]
         evicted_dirty = None
-        w = -1
-        for cand in range(self.assoc):
-            if row[cand] == -1:
-                w = cand
-                break
-        if w < 0:  # set full: evict the LRU (minimum-stamp) way
-            w = int(np.argmin(self._stamp[s]))
-            old_line = int(row[w])
+        if -1 in row:
+            w = row.index(-1)
+        else:  # set full: evict the LRU (first minimum-stamp) way
+            stamps = self._stamp[s].tolist()
+            w = stamps.index(min(stamps))
+            old_line = row[w]
             self.evictions += 1
             if self._dirty[s, w]:
                 self.writebacks += 1

@@ -27,14 +27,18 @@ experiment R-F4 measures.
 The caches are kept protocol-consistent: writes invalidate remote copies,
 reads downgrade dirty owners, evictions clear directory state.
 
-Directory state is array-backed — a ``(lines, nprocs)`` boolean sharer
-matrix plus an ``int32`` owner vector, indexed by line number (the address
-space is bump-allocated and therefore dense) — which enables
-:meth:`transaction_batch`: a NumPy fast path that classifies a whole run of
-lines at once, fuses the uncontested ones (hits and plain local/remote
-fills) into a handful of array operations, and routes only *contested*
-lines (dirty owner elsewhere, sharers to invalidate, hot-home queueing
-hazards) through the scalar :meth:`transaction`.  The fast path is
+Directory state is array-backed and indexed by line number (the address
+space is bump-allocated and therefore dense): one sharer *bitmask* per line
+(bit ``c`` set while CPU ``c`` holds a copy), stored as Python ints in a
+NumPy object array so that any CPU count fits, plus an ``int32`` owner
+vector.  The scalar path reads and writes a mask as one Python int, and
+invalidation is bit arithmetic on it; the object array still lets
+:meth:`transaction_batch` gather and scatter masks in C loops.  That fast
+path classifies a whole run of lines at once, fuses the uncontested ones
+(hits and plain local/remote fills) into a handful of array operations,
+and routes only *contested* lines (dirty owner elsewhere, sharers to
+invalidate, hot-home queueing hazards) through the scalar
+:meth:`transaction`.  The fast path is
 bit-identical in simulated nanoseconds and statistics to looping over
 :meth:`transaction`, which stays the general protocol path — see
 ``tests/test_sas_batch_equivalence.py`` and the fidelity note in DESIGN.md.
@@ -94,16 +98,24 @@ class Directory:
         self.link_bytes: Optional[List[int]] = None
         # how the hardware entry represents the sharer set (exact bit-vector
         # up to dir_exact_width CPUs, coarse/limited-pointer beyond); the
-        # exact matrix below stays the protocol ground truth either way and
+        # exact masks below stay the protocol ground truth either way and
         # the scheme only scales the invalidation billing
         self.sharer_scheme = sharer_scheme_from_config(config)
         # line-indexed protocol state, grown on demand (the address space is
-        # dense): sharer bit-matrix and exclusive owner (-1 = none)
+        # dense): exact sharer bitmask (Python ints in an object array) and
+        # exclusive owner (-1 = none)
         self._cap = 0
-        self._sharers = np.zeros((0, config.nprocs), dtype=bool)
+        self._sharers = np.zeros(0, dtype=object)
         self._owner = np.empty(0, dtype=np.int32)
         self._ensure_lines(1024)
         self._hop_matrix = topology.hop_matrix()
+        # Python tables for the scalar path, built once: router hops by node
+        # pair, node by CPU, and each CPU's sharer bit (also as an object
+        # array, for the batched path's per-owner bits)
+        self._hops: List[List[int]] = self._hop_matrix.tolist()
+        self._node_of: List[int] = [config.node_of_cpu(c) for c in range(config.nprocs)]
+        self._bit: List[int] = [1 << c for c in range(config.nprocs)]
+        self._bits = np.array(self._bit, dtype=object)
         self.batch_calls = 0          # transaction_batch invocations
         self.batch_fast_lines = 0     # lines handled by the vectorised path
         for cpu, cache in enumerate(caches):
@@ -113,7 +125,7 @@ class Directory:
         if max_line < self._cap:
             return
         cap = max(2 * self._cap, max_line + 1, 1024)
-        sharers = np.zeros((cap, self.config.nprocs), dtype=bool)
+        sharers = np.zeros(cap, dtype=object)
         sharers[: self._cap] = self._sharers
         owner = np.full(cap, -1, dtype=np.int32)
         owner[: self._cap] = self._owner
@@ -127,12 +139,13 @@ class Directory:
         # the directory holds the caches, so the hook reaches back weakly:
         # a strong reference would make every machine a reference cycle
         directory = weakref.ref(self)
+        clear = ~(1 << cpu)
 
         def hook(line: int) -> None:
             d = directory()
             if d is not None and line < d._cap:
-                d._sharers[line, cpu] = False
-                if d._owner[line] == cpu:
+                d._sharers[line] &= clear
+                if d._owner.item(line) == cpu:
                     d._owner[line] = -1
 
         return hook
@@ -163,7 +176,7 @@ class Directory:
         dropped = np.asarray(cache.lines(), dtype=np.int64)
         n = cache.flush()
         if dropped.size:
-            self._sharers[dropped, cpu] = False
+            self._sharers[dropped] &= ~self._bit[cpu]
             owners = self._owner[dropped]
             self._owner[dropped] = np.where(owners == cpu, -1, owners)
         return n
@@ -190,9 +203,9 @@ class Directory:
             # misses, and write hits needing an ownership upgrade
             self._ensure_lines(line)
             resident = self.caches[cpu].contains(line)
-            if not resident or (write and int(self._owner[line]) != cpu):
+            if not resident or (write and self._owner.item(line) != cpu):
                 home = self.memory.home_of_line(
-                    line, self.config.line_bytes, self.config.node_of_cpu(cpu)
+                    line, self.config.line_bytes, self._node_of[cpu]
                 )
                 bounces = self.faults.nack_bounces(cpu, now_ns, home=home)
                 if bounces:
@@ -203,7 +216,7 @@ class Directory:
             latency, kind = self._transaction(cpu, line, write, now_ns + nack_ns)
             latency += nack_ns
             home = self.memory.home_of_line(
-                line, self.config.line_bytes, self.config.node_of_cpu(cpu)
+                line, self.config.line_bytes, self._node_of[cpu]
             )
             obs.emit(
                 "coherence", now_ns, cpu, home,
@@ -217,26 +230,23 @@ class Directory:
 
     def _transaction(self, cpu: int, line: int, write: bool, now_ns: float) -> Tuple[float, str]:
         cfg = self.config
-        cache = self.caches[cpu]
-        node = cfg.node_of_cpu(cpu)
-        self._ensure_lines(line)
-        owner = int(self._owner[line])
-        hit, evicted_dirty = cache.access(line, write)
+        node = self._node_of[cpu]
+        if line >= self._cap:
+            self._ensure_lines(line)
+        owner = self._owner.item(line)
+        hit, evicted_dirty = self.caches[cpu].access(line, write)
         wb_ns = 0.0
         if evicted_dirty is not None:
             wb_ns = self._charge_writeback(evicted_dirty, node)
 
         if hit:
-            if not write:
-                return cfg.l2_hit_ns, "hit"
-            # write hit: silent if already exclusive here, else upgrade
-            if owner == cpu:
+            # a read hit, or a write hit already exclusive here, is silent
+            if not write or owner == cpu:
                 return cfg.l2_hit_ns, "hit"
             home = self.memory.home_of_line(line, cfg.line_bytes, node)
             latency = cfg.l2_hit_ns + self._home_trip_ns(node, home, now_ns)
-            latency += self._invalidate_others(cpu, line)
-            self._sharers[line, :] = False
-            self._sharers[line, cpu] = True
+            latency += self._invalidate_others(cpu, line, owner)
+            self._sharers[line] = self._bit[cpu]
             self._owner[line] = cpu
             self.stats.directory_transactions += 1
             return latency, "upgrade"
@@ -246,9 +256,8 @@ class Directory:
         latency = self._home_trip_ns(node, home, now_ns) + wb_ns
         kind = "local" if home == node else "remote"
         if owner >= 0 and owner != cpu:
-            owner_node = cfg.node_of_cpu(owner)
             latency += cfg.dirty_extra_ns
-            latency += cfg.remote_hop_ns * self.topology.router_hops(home, owner_node)
+            latency += cfg.remote_hop_ns * self._hops[home][self._node_of[owner]]
             kind = "dirty"
             if write:
                 # owner stays in the sharer set (as in the historical model)
@@ -256,15 +265,15 @@ class Directory:
                 self.caches[owner].drop(line)
             else:
                 self.caches[owner].downgrade(line)
-                self._sharers[line, owner] = True
-            self._owner[line] = -1
+                self._sharers[line] |= self._bit[owner]
+                self._owner[line] = -1
+            owner = -1
         if write:
-            latency += self._invalidate_others(cpu, line)
-            self._sharers[line, :] = False
-            self._sharers[line, cpu] = True
+            latency += self._invalidate_others(cpu, line, owner)
+            self._sharers[line] = self._bit[cpu]
             self._owner[line] = cpu
         else:
-            self._sharers[line, cpu] = True
+            self._sharers[line] |= self._bit[cpu]
         if home != node:
             self.stats.network_bytes += cfg.line_bytes
             if self.link_bytes is not None:
@@ -378,10 +387,11 @@ class Directory:
         eq, resident = cache.probe_batch(seg)
         owner = self._owner[seg]
         if write:
-            srow = self._sharers[seg]
-            others = srow.sum(axis=1, dtype=np.int64) - srow[:, cpu]
+            # no other sharer: the mask is empty or this CPU's bit alone
+            masks = self._sharers[seg]
+            alone = (masks == 0) | (masks == self._bit[cpu])
             hitf = resident & (owner == cpu)
-            fillf = ~resident & (owner == -1) & (others == 0)
+            fillf = ~resident & (owner == -1) & alone
         else:
             # reads also fuse the 3-hop dirty intervention (fetch data from
             # another CPU's modified copy and downgrade it) — the dominant
@@ -429,7 +439,7 @@ class Directory:
                 base[remote] += 2.0 * cfg.remote_hop_ns * hops
             wb = np.zeros(nf)
             if ev_lines.size:
-                self._sharers[ev_lines, cpu] = False
+                self._sharers[ev_lines] &= ~self._bit[cpu]
                 ev_owner = self._owner[ev_lines]
                 self._owner[ev_lines] = np.where(ev_owner == cpu, -1, ev_owner)
                 if ev_dirty.any():
@@ -458,7 +468,7 @@ class Directory:
                     dxt2[isdirty] = cfg.remote_hop_ns * self._hop_matrix[homes[isdirty], own_nodes]
                     for o in np.unique(d_own).tolist():
                         self.caches[int(o)].downgrade_batch(d_lines[d_own == o])
-                    self._sharers[d_lines, d_own] = True
+                    self._sharers[d_lines] |= self._bits[d_own]
                     self._owner[d_lines] = -1
             # charge = (((base + queue) + writeback) + dirty-extra) + hops,
             # in the scalar path's exact float-operation order (queue is 0.0
@@ -507,7 +517,7 @@ class Directory:
                         p = int(rpos[j])
                         self._busy_until[h] = (now_ns + float(t[p])) + self._service_ns
             # directory updates for the uncontested fills
-            self._sharers[fill_lines, cpu] = True
+            self._sharers[fill_lines] |= self._bit[cpu]
             if write:
                 self._owner[fill_lines] = cpu
             nrem = int(remote.sum())
@@ -540,30 +550,35 @@ class Directory:
         base = self.config.local_mem_ns
         if home == node:
             return base
-        base += 2 * self.config.remote_hop_ns * self.topology.router_hops(node, home)
+        base += 2 * self.config.remote_hop_ns * self._hops[node][home]
         start = max(now_ns, self._busy_until[home])
         queue = start - now_ns
         self._busy_until[home] = start + self._service_ns
         return base + queue
 
-    def _invalidate_others(self, cpu: int, line: int) -> float:
-        row = self._sharers[line]
-        victims = np.nonzero(row)[0]
-        victims = victims[victims != cpu]
-        owner = int(self._owner[line])
-        extra_owner = owner >= 0 and owner != cpu and not row[owner]
-        exact_k = int(victims.size) + (1 if extra_owner else 0)
+    def _invalidate_others(self, cpu: int, line: int, owner: int) -> float:
+        """Drop every other copy of ``line`` ahead of ``cpu``'s write; returns its cost.
+
+        ``owner`` is the line's current exclusive owner (-1 = none).
+        """
+        mask = self._sharers[line]
+        victims = mask & ~self._bit[cpu]
+        extra_owner = owner >= 0 and owner != cpu and not (mask >> owner) & 1
+        exact_k = victims.bit_count() + (1 if extra_owner else 0)
         # the billed count follows the hardware sharer representation: a
         # coarse vector invalidates whole groups (spurious messages are
         # billed but only true sharers lose their copy), limited pointers
         # broadcast on overflow; the exact scheme bills exact_k
-        k = self.sharer_scheme.billable(row, cpu, exact_k)
+        k = self.sharer_scheme.billable(mask, cpu, exact_k)
         if k == 0 and exact_k == 0:
             return 0.0
-        for victim in victims.tolist():
-            self.caches[victim].drop(line)
+        caches = self.caches
+        while victims:  # lowest CPU first
+            low = victims & -victims
+            caches[low.bit_length() - 1].drop(line)
+            victims ^= low
         if extra_owner:  # pragma: no cover - owner is always a sharer
-            self.caches[owner].drop(line)
+            caches[owner].drop(line)
         self.stats.per_cpu[cpu].invalidations_sent += k
         return self.config.inval_base_ns + k * self.config.inval_per_sharer_ns
 
@@ -572,7 +587,8 @@ class Directory:
     def sharers_of(self, line: int) -> Set[int]:
         if line >= self._cap:
             return set()
-        return {int(c) for c in np.nonzero(self._sharers[line])[0]}
+        mask = self._sharers[line]
+        return {c for c in range(self.config.nprocs) if (mask >> c) & 1}
 
     def owner_of(self, line: int) -> Optional[int]:
         if line >= self._cap:
@@ -581,4 +597,4 @@ class Directory:
         return owner if owner >= 0 else None
 
     def live_entries(self) -> int:
-        return int((self._sharers.any(axis=1) | (self._owner >= 0)).sum())
+        return int(((self._sharers != 0) | (self._owner >= 0)).sum())

@@ -103,7 +103,7 @@ class MemorySystem:
     def home_of(self, addr: int, accessor_node: int) -> int:
         page = self.page_of(addr)
         self._ensure_pages(page)
-        home = int(self._home[page])
+        home = self._home.item(page)
         if home >= 0:
             return home
         home = self._policy_home(page, accessor_node)
@@ -151,5 +151,5 @@ class MemorySystem:
         page = self.page_of(addr)
         if page >= self._home.size:
             return None
-        home = int(self._home[page])
+        home = self._home.item(page)
         return home if home >= 0 else None

@@ -74,6 +74,38 @@ class TestSharedArrays:
         with pytest.raises(IndexError):
             run_sas(program, 1)
 
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [([10_000], "[10000, 10000]"), ([-1], "[-1, -1]"), ([5, 64, 2], "[2, 64]")],
+        ids=["past-end", "negative", "one-past-end"],
+    )
+    def test_touch_idx_bounds_checked(self, bad, shown):
+        """Indices off either end are refused before any counter or line state moves."""
+
+        def program(ctx):
+            x = ctx.shalloc("x", (64,), np.float64)
+            with pytest.raises(IndexError) as err:
+                yield from ctx.stouch_idx(x, bad, write=True)
+            for call in (ctx.sread_idx(x, bad), ctx.swrite_idx(x, bad, np.zeros(len(bad)))):
+                with pytest.raises(IndexError):
+                    yield from call
+            s = ctx.stats
+            return (str(err.value), s.loads, s.stores, s.lines_touched,
+                    ctx.machine.directory.live_entries(), ctx.now)
+
+        (msg, loads, stores, touched, entries, now), = run_sas(program, 1).rank_results
+        assert msg == f"touch indices {shown} out of range for 'x' of size 64"
+        assert (loads, stores, touched, entries, now) == (0, 0, 0, 0, 0.0)
+
+    def test_touch_idx_empty_is_free(self):
+        def program(ctx):
+            x = ctx.shalloc("x", (64,), np.float64)
+            yield from ctx.stouch_idx(x, [])
+            got = yield from ctx.sread_idx(x, np.empty(0, dtype=np.int64))
+            return got.size, ctx.stats.loads, ctx.stats.lines_touched, ctx.now
+
+        assert run_sas(program, 1).rank_results == [(0, 0, 0, 0.0)]
+
 
 class TestCoherenceCosts:
     def test_repeated_local_reads_hit_cache(self):
