@@ -9,7 +9,14 @@ import numpy as np
 
 from repro.mesh.mesh2d import TriMesh
 
-__all__ = ["Graph", "mesh_dual_graph"]
+__all__ = ["Graph", "check_nparts", "mesh_dual_graph"]
+
+
+def check_nparts(nparts) -> int:
+    """``nparts`` as an ``int``; a ``ValueError`` names anything but an integer >= 1."""
+    if isinstance(nparts, bool) or not isinstance(nparts, (int, np.integer)) or nparts < 1:
+        raise ValueError(f"nparts must be an integer >= 1, got {nparts!r}")
+    return int(nparts)
 
 
 class Graph:

@@ -18,7 +18,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.partition.graph import Graph
+from repro.partition.graph import Graph, check_nparts
 
 __all__ = ["multilevel", "heavy_edge_matching", "coarsen_graph", "fm_refine"]
 
@@ -222,8 +222,7 @@ def _multilevel_bisect(graph: Graph, target_frac: float, seed: int) -> np.ndarra
 
 def multilevel(graph: Graph, nparts: int, seed: int = 0) -> np.ndarray:
     """K-way partition by recursive multilevel bisection."""
-    if nparts < 1:
-        raise ValueError(f"nparts must be >= 1, got {nparts}")
+    nparts = check_nparts(nparts)
     part = np.zeros(graph.num_vertices, dtype=np.int64)
     if nparts == 1 or graph.num_vertices == 0:
         return part

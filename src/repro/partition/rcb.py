@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.partition.graph import Graph
+from repro.partition.graph import Graph, check_nparts
 
 __all__ = ["rcb"]
 
 
 def rcb(graph: Graph, nparts: int) -> np.ndarray:
     """Partition into ``nparts``; returns the per-vertex part array."""
-    if nparts < 1:
-        raise ValueError(f"nparts must be >= 1, got {nparts}")
+    nparts = check_nparts(nparts)
     if graph.coords is None:
         raise ValueError("rcb requires vertex coordinates")
     part = np.zeros(graph.num_vertices, dtype=np.int64)

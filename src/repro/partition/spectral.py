@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.partition.graph import Graph
+from repro.partition.graph import Graph, check_nparts
 
 # scipy is imported inside the functions that use it: it takes about 0.4 s
 # to import, which a process that never partitions (one that only needs
@@ -49,8 +49,7 @@ def fiedler_vector(graph: Graph, seed: int = 7) -> np.ndarray:
 
 def spectral(graph: Graph, nparts: int, seed: int = 7) -> np.ndarray:
     """Partition into ``nparts`` by recursive spectral bisection."""
-    if nparts < 1:
-        raise ValueError(f"nparts must be >= 1, got {nparts}")
+    nparts = check_nparts(nparts)
     part = np.zeros(graph.num_vertices, dtype=np.int64)
     if nparts == 1 or graph.num_vertices == 0:
         return part

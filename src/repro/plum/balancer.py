@@ -10,6 +10,7 @@ import numpy as np
 from repro.mesh.mesh2d import TriMesh
 from repro.mesh.mesh3d import TetMesh
 from repro.partition import mesh_dual_graph, multilevel
+from repro.partition.graph import check_nparts
 from repro.partition.metrics import partition_summary
 from repro.plum.cost import RemapCost, remap_cost
 from repro.plum.policy import ImbalancePolicy
@@ -60,8 +61,7 @@ class PlumBalancer:
         link_penalty: Optional[np.ndarray] = None,
         fault_move_weight: float = 0.5,
     ):
-        if nparts < 1:
-            raise ValueError(f"nparts must be >= 1, got {nparts}")
+        nparts = check_nparts(nparts)
         if reassigner not in ("greedy", "optimal"):
             raise ValueError(f"unknown reassigner {reassigner!r}")
         if link_penalty is not None:
@@ -82,11 +82,25 @@ class PlumBalancer:
     # -- pieces ---------------------------------------------------------------
 
     def loads(self, owner: Dict[int, int], weights: Optional[Dict[int, float]] = None) -> np.ndarray:
-        """Per-processor load implied by an ownership map."""
-        loads = np.zeros(self.nparts)
-        for tid, p in owner.items():
-            loads[p] += 1.0 if weights is None else weights.get(tid, 1.0)
-        return loads
+        """Per-processor load implied by an ownership map.
+
+        Every owner must be a processor in ``[0, nparts)``; otherwise a
+        ``ValueError`` names the first element that has another owner.
+        """
+        parts = np.fromiter(owner.values(), dtype=np.int64, count=len(owner))
+        bad = (parts < 0) | (parts >= self.nparts)
+        if bad.any():
+            tid = list(owner)[int(np.argmax(bad))]
+            raise ValueError(
+                f"element {tid} has owner {owner[tid]}, outside processors "
+                f"[0, {self.nparts})"
+            )
+        w = None
+        if weights is not None:
+            w = np.fromiter((weights.get(t, 1.0) for t in owner), dtype=np.float64,
+                            count=len(owner))
+        # bincount adds each element's weight in order, as a loop would
+        return np.bincount(parts, weights=w, minlength=self.nparts).astype(np.float64)
 
     def initial_partition(self, mesh: Union[TriMesh, TetMesh]) -> Dict[int, int]:
         """Partition a fresh triangular or tetrahedral mesh (no reassignment needed).

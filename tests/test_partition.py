@@ -113,6 +113,11 @@ class TestAllPartitioners:
         with pytest.raises(ValueError):
             PARTITIONERS[name](g, 0)
 
+    def test_fractional_nparts_rejected(self, name):
+        g, _ = mesh_dual_graph(structured_mesh(4))
+        with pytest.raises(ValueError, match=r"nparts must be an integer >= 1, got 2\.5"):
+            PARTITIONERS[name](g, 2.5)
+
     def test_deterministic(self, name):
         m = delaunay_mesh(60, seed=2)
         g, _ = mesh_dual_graph(m)

@@ -172,6 +172,41 @@ class TestBalancer:
         with pytest.raises(ValueError):
             PlumBalancer(nparts=2, reassigner="magic")
 
+    def test_fractional_nparts_rejected(self):
+        with pytest.raises(ValueError, match=r"nparts must be an integer >= 1, got 2\.5"):
+            PlumBalancer(2.5)
+
+    def test_negative_owner_rejected(self):
+        """An owner of -1 is refused, not counted on the last processor."""
+        m = structured_mesh(4)
+        bal = PlumBalancer(nparts=4)
+        owner = bal.initial_partition(m)
+        tid = sorted(owner)[3]
+        owner[tid] = -1
+        msg = rf"element {tid} has owner -1, outside processors \[0, 4\)"
+        with pytest.raises(ValueError, match=msg):
+            bal.loads(owner)
+        with pytest.raises(ValueError, match=msg):
+            bal.rebalance(m, owner, force=True)
+        assert bal.history == []
+
+    def test_owner_past_nparts_rejected(self):
+        m = structured_mesh(4)
+        bal = PlumBalancer(nparts=4)
+        owner = bal.initial_partition(m)
+        tid = sorted(owner)[0]
+        owner[tid] = 7
+        with pytest.raises(ValueError, match=rf"element {tid} has owner 7, outside"):
+            bal.rebalance(m, owner, force=True)
+
+    def test_loads_sum_weights_in_element_order(self):
+        bal = PlumBalancer(nparts=3)
+        owner = {5: 1, 2: 0, 9: 1, 4: 1}
+        weights = {5: 0.1, 9: 0.2, 4: 0.7}
+        expected = [1.0, (0.1 + 0.2) + 0.7, 0.0]
+        assert bal.loads(owner, weights).tolist() == expected
+        assert bal.loads(owner).tolist() == [1.0, 3.0, 0.0]
+
     def test_inherit_ownership_through_adaptation(self):
         m = structured_mesh(6)
         bal = PlumBalancer(nparts=3)
