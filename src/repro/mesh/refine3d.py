@@ -147,7 +147,9 @@ def _octahedron_children(mesh: TetMesh, tid: int, mids: Dict[EdgeKey, int]):
     mbc = mids[edge_key3(b, c)]
     mbd = mids[edge_key3(b, d)]
     mcd = mids[edge_key3(c, d)]
-    verts = mesh.verts_array()
+    # only the six midpoints are read, one float64 row each
+    verts = {v: np.asarray(mesh.vert(v), dtype=np.float64)
+             for v in (mab, mac, mad, mbc, mbd, mcd)}
 
     def d2(u: int, v: int) -> float:
         diff = verts[u] - verts[v]
