@@ -2,9 +2,7 @@
 
 Commands
 --------
-``run``     one (app, model, P) configuration, with breakdown
-``trace``   traced run: event summary, trace export, optional sync check
-``comm-matrix`` per-pair communication matrices across the models
+``run``     one (app, model, P) configuration, with breakdown and views
 ``sweep``   app × model × P sweep with speedup table and ASCII chart
 ``micro``   the machine microbenchmarks (latency ladder, messaging)
 ``bench-faults`` per-model fault-recovery overhead (retries, goodput)
@@ -24,7 +22,9 @@ the host time of each ``repro`` module layer after the run, with an
 code.  ``run --trace [PATH]`` records structured communication events
 (simulated time is bit-identical with tracing on or off) and optionally
 exports them; ``--check-sync`` runs the trace-based synchronization
-checker on the event stream.
+checker on the event stream.  The views ``--summary`` (events per kind),
+``--phases`` (traffic per adaptation phase) and ``--comm-matrix [UNITS]``
+(per-pair traffic) trace the run too and print after it.
 ``run --scenario SPEC`` runs a generated scenario (a ``*.scenario.json``
 path or a scenario class name) under any model, including ``hybrid``.
 
@@ -40,8 +40,10 @@ consult the content-addressed result store by default — ``--no-cache``
 opts out, ``--cache-dir`` relocates it, ``-j/--jobs N`` shards uncached
 cells over N worker processes.  ``run`` opts *in* with ``--serve``.
 
-Every sweep command checks its ``-m`` list before any cell runs.  Flags
-several commands share are declared once, in ``_SHARED_FLAGS``.
+``run`` and ``serve`` build every cell through one checked resolver,
+:func:`_cell`, and every sweep command checks its ``-m`` list before any
+cell runs.  Flags several commands share are declared once, in
+``_SHARED_FLAGS``.
 """
 
 from __future__ import annotations
@@ -59,29 +61,30 @@ from repro.harness import (
     write_record,
 )
 from repro.harness.breakdown import aggregate_breakdown, comm_stats_rows
+from repro.harness.experiment import APP_MODELS
 from repro.harness.tables import format_dict_table
 from repro.machine import Machine, MachineConfig
 
 _MODELS = ("mpi", "shmem", "sas")
-_ALL_MODELS = ("mpi", "shmem", "sas", "hybrid")
 _APPS = ("adapt", "adapt3d", "nbody", "jacobi")
+_SIZES = ("small", "medium", "large")
 
 #: hypercube depth ceiling: 128 CPUs = 32 routers = a dimension-5 cube
 _MAX_NPROCS = 128
 
 
 def _check_nprocs(n: int) -> int:
-    """Validate a CLI processor count before it reaches the machine model.
+    """Validate a processor count before it reaches the machine model.
 
     The bristled hypercube is only routable at power-of-two processor
     counts (otherwise the router count is not a power of two and e-cube
     routing has missing links), and the directory/topology models are
-    sized for at most 128 CPUs.  Reject bad counts here with a clear
-    message instead of a deep routing error.
+    sized for at most 128 CPUs.  Reject bad counts (and a spec's ``2.7``
+    or ``true``) here with a clear message, not a deep routing error.
     """
-    if n < 1 or n > _MAX_NPROCS or (n & (n - 1)) != 0:
-        raise SystemExit(
-            f"error: invalid processor count {n}: -p/--nprocs must be a "
+    if not (type(n) is int and 1 <= n <= _MAX_NPROCS and n & (n - 1) == 0):
+        raise ValueError(
+            f"invalid processor count {n!r}: -p/--nprocs must be a "
             f"power of two between 1 and {_MAX_NPROCS} (the bristled "
             "hypercube network is only routable at power-of-two counts)"
         )
@@ -93,74 +96,32 @@ def _check_procs_list(spec: str) -> list:
     try:
         plist = [int(p) for p in spec.split(",") if p.strip()]
     except ValueError:
-        raise SystemExit(f"error: invalid processor list {spec!r}")
+        raise ValueError(f"invalid processor list {spec!r}") from None
     if not plist:
-        raise SystemExit("error: empty processor list")
+        raise ValueError("empty processor list")
     return [_check_nprocs(p) for p in plist]
 
 
 def _workload(app: str, size: str):
-    """Small/medium/large presets per application."""
+    """Small/medium/large presets per (non-scenario) application."""
+    i = _SIZES.index(size)
     if app == "adapt":
         from repro.apps.adapt import AdaptConfig
 
-        return {
-            "small": AdaptConfig(mesh_n=8, phases=3, solver_iters=6),
-            "medium": AdaptConfig(mesh_n=16, phases=4, solver_iters=10),
-            "large": AdaptConfig(mesh_n=24, phases=5, solver_iters=12),
-        }[size]
+        return AdaptConfig(mesh_n=(8, 16, 24)[i], phases=(3, 4, 5)[i],
+                           solver_iters=(6, 10, 12)[i])
     if app == "adapt3d":
         from repro.apps.adapt3d import Adapt3DConfig
 
-        return {
-            "small": Adapt3DConfig(mesh_n=2, phases=3, solver_iters=4),
-            "medium": Adapt3DConfig(mesh_n=3, phases=4, solver_iters=8),
-            "large": Adapt3DConfig(mesh_n=4, phases=5, solver_iters=10),
-        }[size]
+        return Adapt3DConfig(mesh_n=(2, 3, 4)[i], phases=(3, 4, 5)[i],
+                             solver_iters=(4, 8, 10)[i])
     if app == "nbody":
         from repro.apps.nbody import NBodyConfig
 
-        return {
-            "small": NBodyConfig(n=128, steps=2),
-            "medium": NBodyConfig(n=384, steps=3),
-            "large": NBodyConfig(n=768, steps=3),
-        }[size]
+        return NBodyConfig(n=(128, 384, 768)[i], steps=(2, 3, 3)[i])
     from repro.apps.jacobi import JacobiConfig
 
-    return {
-        "small": JacobiConfig(nx=64, ny=64, iters=10),
-        "medium": JacobiConfig(nx=128, ny=128, iters=15),
-        "large": JacobiConfig(nx=256, ny=256, iters=15),
-    }[size]
-
-
-def _resolve_app_model(args: argparse.Namespace) -> tuple:
-    """Accept app/model positionally or as ``--app``/``--model`` flags."""
-    app = args.app or getattr(args, "app_pos", None)
-    model = args.model or getattr(args, "model_pos", None)
-    if app is None:
-        raise SystemExit("error: app is required (positionally or via --app)")
-    return app, model
-
-
-def _export_trace(events, path: str, nprocs: int) -> None:
-    """Write ``events`` to ``path`` (.jsonl => compact JSONL, else Perfetto)."""
-    from repro.obs import to_jsonl, write_perfetto
-
-    if path.endswith(".jsonl"):
-        to_jsonl(events, path)
-        print(f"  wrote {path} ({len(events)} events, JSONL)")
-    else:
-        n = write_perfetto(events, path, nprocs)
-        print(f"  wrote {path} ({n} trace_event entries, Perfetto JSON)")
-
-
-def _print_sync_check(events, nprocs: int) -> int:
-    from repro.obs import check_sync, format_violations
-
-    violations = check_sync(events, nprocs)
-    print(format_violations(violations))
-    return 1 if violations else 0
+    return JacobiConfig(nx=(64, 128, 256)[i], ny=(64, 128, 256)[i], iters=(10, 15, 15)[i])
 
 
 def _resolve_scenario(spec_arg: str):
@@ -173,16 +134,65 @@ def _resolve_scenario(spec_arg: str):
         try:
             return load_spec(spec_arg)
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise SystemExit(
-                f"error: cannot load scenario spec {spec_arg!r}: {exc}"
-            ) from None
+            raise ValueError(f"cannot load scenario spec {spec_arg!r}: {exc}") from None
     if spec_arg in SCENARIO_CLASSES:
         return generate_scenario(spec_arg)
-    raise SystemExit(
-        f"error: unknown scenario {spec_arg!r}: not a spec file on disk and "
+    raise ValueError(
+        f"unknown scenario {spec_arg!r}: not a spec file on disk and "
         f"not a scenario class (classes: {', '.join(sorted(SCENARIO_CLASSES))}; "
         "generate specs with `repro scenarios generate`)"
     )
+
+
+def _machine_config(nprocs: int, machine_profile=None) -> MachineConfig:
+    """The config a run on ``machine_profile`` gets (checks the profile)."""
+    from repro.machine.profiles import resolve_machine_profile
+
+    cfg = MachineConfig(nprocs=nprocs)
+    profile = resolve_machine_profile(machine_profile)
+    return cfg if profile is None else profile.apply(cfg)
+
+
+def _cell(app, model, nprocs, size=None, scenario=None, faults=None,
+          fault_seed=None, placement="first-touch", derived=None,
+          machine_profile=None):
+    """One checked configuration: a :class:`repro.serving.Cell`, or ValueError.
+
+    ``run`` and every ``serve`` spec entry build their cells here, so a
+    bad app, model, processor count, size, scenario, placement, fault
+    spec or machine profile fails before anything runs.  ``size`` picks
+    the app's preset workload (``None``: the app's default); the
+    ``scenario`` app runs ``scenario`` (a spec path or class name)
+    instead, and no other app takes one.
+    """
+    from repro.faults import resolve_profile
+    from repro.machine.memory import MemorySystem
+    from repro.serving import Cell
+
+    check_models(app, (model,))
+    _check_nprocs(nprocs)
+    if size is not None and size not in _SIZES:
+        raise ValueError(f"unknown size {size!r}; choose from {', '.join(_SIZES)}")
+    if (app == "scenario") != (scenario is not None):
+        raise ValueError(
+            f"app {app!r} with scenario {scenario!r}: the 'scenario' app, and only "
+            "it, runs a scenario (a *.scenario.json path or a scenario class "
+            "name; see `repro scenarios list`)"
+        )
+    if scenario is not None:
+        workload = _resolve_scenario(scenario)
+    else:
+        workload = None if size is None else _workload(app, size)
+    # the memory system's own placement check, against the run's node count
+    # (a non-string placement fails it too)
+    MemorySystem(_machine_config(nprocs, machine_profile), str(placement))
+    if derived is not None and not isinstance(derived, dict):
+        raise ValueError(f"derived must be a dict of switches, got {derived!r}")
+    if fault_seed is not None and type(fault_seed) is not int:
+        raise ValueError(f"fault_seed must be an integer, got {fault_seed!r}")
+    return Cell(app, model, nprocs, workload, placement,
+                faults=resolve_profile(faults, seed=fault_seed) if faults else None,
+                derived=derived, machine_profile=machine_profile)
 
 
 def _store_from_args(args: argparse.Namespace, default_on: bool):
@@ -207,65 +217,94 @@ def _print_store_report(store) -> None:
         print(f"  {store.report_line()}")
 
 
+def _print_trace(args: argparse.Namespace, cell, events) -> int:
+    """A traced ``run``'s output: the export, the sync check, the views.
+
+    Returns the exit code: 1 when ``--check-sync`` finds a violation.
+    """
+    from repro.obs import (check_sync, comm_matrix, format_matrix, format_violations,
+                           phase_breakdown, sas_home_matrix, summarize, to_jsonl,
+                           write_perfetto)
+
+    kinds = sorted({ev.kind for ev in events})
+    print(f"  trace          : {len(events)} events ({', '.join(kinds)})")
+    if isinstance(args.trace, str):  # .jsonl => compact JSONL, else Perfetto
+        if args.trace.endswith(".jsonl"):
+            to_jsonl(events, args.trace)
+            print(f"  wrote {args.trace} ({len(events)} events, JSONL)")
+        else:
+            n = write_perfetto(events, args.trace, cell.nprocs)
+            print(f"  wrote {args.trace} ({n} trace_event entries, Perfetto JSON)")
+    violations = check_sync(events, cell.nprocs) if args.check_sync else []
+    if args.check_sync:
+        print(format_violations(violations))
+    if args.summary:
+        print("\n" + format_table(["kind", "count", "bytes", "dur_us"], [
+            [kind, int(row["count"]), int(row["bytes"]), row["dur_ns"] / 1e3]
+            for kind, row in sorted(summarize(events).items())]))
+    if args.phases:
+        print("\n" + format_table(["phase", "events", "bytes"], [
+            [name, int(row["events"]), int(row["bytes"])]
+            for name, row in sorted(phase_breakdown(events).items())],
+            title="per-phase traffic"))
+    rc = 1 if violations else 0
+    units = args.comm_matrix
+    if units is None:
+        return rc
+    print()
+    if cell.model == "sas":
+        # CC-SAS communication is the coherence traffic: rank x home-node
+        # bytes pulled through the protocol (rank-to-rank flow is empty by
+        # construction); the run's profile sets the node count
+        cfg = _machine_config(cell.nprocs, cell.machine_profile)
+        m = sas_home_matrix(events, cell.nprocs, cfg.nnodes, cfg.line_bytes)
+        if units == "messages":  # one line fetch ~ one protocol message
+            m = m // cfg.line_bytes
+            units = "line fetches"
+        print(f"  coherence fetch matrix, {units} (rank x home node):")
+        print(format_matrix(m, row_label="rank", col_label="home"))
+    else:
+        m = comm_matrix(events, cell.nprocs, units=units)
+        print(f"  flow matrix, {units} (src rank x dst rank):")
+        print(format_matrix(m))
+    print(f"  total: {int(m.sum())} {units}")
+    return rc
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    app = args.app or getattr(args, "app_pos", None)
-    model = args.model or getattr(args, "model_pos", None)
+    app = args.app or args.app_pos
+    model = args.model or args.model_pos
     if args.scenario is not None:
         # `run mpi --scenario X` puts the model in the app slot
-        if model is None and app in _ALL_MODELS:
+        if model is None and app in APP_MODELS["scenario"]:
             app, model = "scenario", app
         app = app or "scenario"
-        if app != "scenario":
-            raise SystemExit(
-                f"error: --scenario runs the 'scenario' app, not {app!r}; "
-                "drop the app argument or pass 'scenario'"
-            )
-    if app is None:
-        raise SystemExit("error: app is required (positionally or via --app)")
-    if app != "scenario" and app not in _APPS:
-        raise SystemExit(
-            f"error: unknown app {app!r}; choose from {', '.join(_APPS)}, or "
-            "run a generated scenario with --scenario SPEC"
-        )
-    if model is None:
-        raise SystemExit("error: model is required (positionally or via --model)")
-    if model not in _ALL_MODELS:
-        raise SystemExit(
-            f"error: unknown model {model!r}; choose from {', '.join(_ALL_MODELS)}"
-        )
-    _check_nprocs(args.nprocs)
-    if app == "scenario":
-        if args.scenario is None:
-            raise SystemExit(
-                "error: app 'scenario' needs --scenario SPEC (a *.scenario.json "
-                "path or a scenario class name; see `repro scenarios list`)"
-            )
-        wl = _resolve_scenario(args.scenario)
-    else:
-        wl = _workload(app, args.size)
-    traced = bool(args.trace) or args.check_sync
-    faults = None
-    if args.faults:
-        from repro.faults import resolve_profile
-
-        faults = resolve_profile(args.faults, seed=args.fault_seed)
-    derived = {"link_stats": "on"} if args.link_stats else None
+    if app is None or model is None:
+        raise ValueError("app and model are required (positionally or via --app/--model)")
+    cell = _cell(
+        app, model, args.nprocs, size=args.size, scenario=args.scenario,
+        faults=args.faults, fault_seed=args.fault_seed, placement=args.placement,
+        derived={"link_stats": "on"} if args.link_stats else None,
+        machine_profile=args.machine_profile,
+    )
+    traced = any((args.trace, args.check_sync, args.summary, args.phases, args.comm_matrix))
     store = _store_from_args(args, default_on=False)
+    # events and per-link counters live only on the simulated machine (the
+    # store keeps neither), so traced and link-stats runs always simulate
+    kwargs = dict(cell.run_kwargs(), trace=traced,
+                  store=None if args.link_stats else store)
     if args.profile:
         from repro.sim.profile import PROFILER
 
         PROFILER.reset().enable()
     try:
-        result = run_app(
-            app, model, args.nprocs, wl, placement=args.placement, trace=traced,
-            faults=faults, derived=derived, store=store,
-            machine_profile=args.machine_profile,
-        )
+        result = run_app(**kwargs)
     finally:
         if args.profile:
             PROFILER.disable()
     agg = aggregate_breakdown(result)
-    what = f"scenario {wl.name}" if app == "scenario" else f"{args.size} workload"
+    what = (f"scenario {cell.workload.name}" if app == "scenario"
+            else f"{args.size} workload")
     if args.machine_profile:
         what += f", profile {args.machine_profile}"
     print(f"{app} under {model} on {args.nprocs} CPUs ({what})")
@@ -288,95 +327,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{c['dup']} dups / {c['delay']} delays / {c['nack']} nacks, "
             f"{result.fault_summary['total_retries']} recoveries"
         )
-    rc = 0
-    if traced:
-        events = result.events or []
-        kinds = sorted({ev.kind for ev in events})
-        print(f"  trace          : {len(events)} events ({', '.join(kinds)})")
-        if isinstance(args.trace, str):
-            _export_trace(events, args.trace, args.nprocs)
-        if args.check_sync:
-            rc = _print_sync_check(events, args.nprocs)
+    rc = _print_trace(args, cell, result.events or []) if traced else 0
     if args.link_stats:
         from repro.obs import format_link_contention
 
-        links = getattr(getattr(result, "stats", None), "links", [])
-        print()
-        print("per-link contention (hottest first):")
-        print(format_link_contention(links))
+        print("\nper-link contention (hottest first):")
+        print(format_link_contention(result.stats.links))
     if args.profile:
-        print()
-        print(PROFILER.report())
+        print("\n" + PROFILER.report())
     _print_store_report(store)
     return rc
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Traced run with per-kind summary, export, and optional sync check."""
-    from repro.obs import phase_breakdown, summarize
-
-    app, model = _resolve_app_model(args)
-    if model is None:
-        raise SystemExit("error: model is required (positionally or via --model)")
-    _check_nprocs(args.nprocs)
-    wl = _workload(app, args.size)
-    result = run_app(app, model, args.nprocs, wl, trace=True)
-    events = result.events or []
-    print(f"{app} under {model} on {args.nprocs} CPUs ({args.size} workload): "
-          f"{len(events)} events in {result.elapsed_ms:.3f} simulated ms")
-    summary = summarize(events)
-    rows = [
-        [kind, int(row["count"]), int(row["bytes"]), row["dur_ns"] / 1e3]
-        for kind, row in sorted(summary.items())
-    ]
-    print(format_table(["kind", "count", "bytes", "dur_us"], rows))
-    if args.phases:
-        print()
-        breakdown = phase_breakdown(events)
-        prows = [
-            [name, int(row["events"]), int(row["bytes"])]
-            for name, row in sorted(breakdown.items())
-        ]
-        print(format_table(["phase", "events", "bytes"], prows, title="per-phase traffic"))
-    if args.output:
-        _export_trace(events, args.output, args.nprocs)
-    if args.check_sync:
-        return _print_sync_check(events, args.nprocs)
-    return 0
-
-
-def cmd_comm_matrix(args: argparse.Namespace) -> int:
-    """Per-pair traffic matrices for each model at one (app, P)."""
-    from repro.obs import comm_matrix, format_matrix, sas_home_matrix
-
-    app, _ = _resolve_app_model(args)
-    _check_nprocs(args.nprocs)
-    wl = _workload(app, args.size)
-    cfg = MachineConfig(nprocs=args.nprocs)
-    models = (args.model,) if args.model else _MODELS
-    for model in models:
-        result = run_app(app, model, args.nprocs, wl, trace=True)
-        events = result.events or []
-        print(f"{app} under {model} on {args.nprocs} CPUs ({args.size} workload)")
-        if model == "sas":
-            # CC-SAS communication is the coherence traffic: rank x home-node
-            # bytes pulled through the protocol (rank-to-rank flow is empty
-            # by construction under a shared address space)
-            m = sas_home_matrix(events, args.nprocs, cfg.nnodes, cfg.line_bytes)
-            units = args.units
-            if units == "messages":  # one line fetch ~ one protocol message
-                m = m // cfg.line_bytes
-                units = "line fetches"
-            print(f"  coherence fetch matrix, {units} (rank x home node):")
-            print(format_matrix(m, row_label="rank", col_label="home"))
-        else:
-            units = args.units
-            m = comm_matrix(events, args.nprocs, units=units)
-            print(f"  flow matrix, {units} (src rank x dst rank):")
-            print(format_matrix(m))
-        print(f"  total: {int(m.sum())} {units}")
-        print()
-    return 0
 
 
 def _finish_bench(args: argparse.Namespace, store, record, text: str, error) -> int:
@@ -673,14 +633,13 @@ def cmd_effort(args: argparse.Namespace) -> int:
 def cmd_paper(args: argparse.Namespace) -> int:
     """Run the full benchmark suite, writing benchmarks/results/*.txt."""
     import subprocess
-    import sys as _sys
     from pathlib import Path
 
     bench_dir = Path(__file__).resolve().parent.parent.parent / "benchmarks"
     if not bench_dir.exists():
         print("benchmarks/ directory not found (installed without the repo?)")
         return 1
-    cmd = [_sys.executable, "-m", "pytest", str(bench_dir), "--benchmark-disable", "-q"]
+    cmd = [sys.executable, "-m", "pytest", str(bench_dir), "--benchmark-disable", "-q"]
     print("+", " ".join(cmd))
     rc = subprocess.call(cmd)
     results = bench_dir / "results"
@@ -691,20 +650,41 @@ def cmd_paper(args: argparse.Namespace) -> int:
     return rc
 
 
+#: the fields a ``serve`` spec entry takes: ``run``'s options, with a
+#: ``models`` list and a list of ``nprocs`` as sweep axes
+_SPEC_FIELDS = ("app", "model", "models", "nprocs", "size", "scenario",
+                "placement", "faults", "fault_seed", "derived", "machine_profile")
+
+
+def _spec_cells(entry) -> list:
+    """One ``serve`` spec entry's cells, P-major and model-minor."""
+    if not isinstance(entry, dict) or "app" not in entry:
+        raise ValueError("needs at least an 'app'")
+    unknown = sorted(set(entry) - set(_SPEC_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown field(s) {', '.join(map(repr, unknown))}; "
+                         f"a cell takes {', '.join(_SPEC_FIELDS)}")
+    fields = dict(entry)
+    model = fields.pop("model", "mpi")
+    models = fields.pop("models", None) or [model]
+    procs = fields.pop("nprocs", 8)
+    if not isinstance(models, list):
+        raise ValueError(f"'models' must be a list, got {models!r}")
+    return [_cell(model=m, nprocs=n, **fields)
+            for n in (procs if isinstance(procs, list) else [procs])
+            for m in models]
+
+
 def _serve_cells_from_spec(path: str) -> list:
     """Parse a ``serve`` spec file into scheduler cells, in file order.
 
     The file is a JSON list of cell entries (or ``{"cells": [...]}``);
-    each entry names at least an ``app`` and may carry ``model`` or a
-    ``models`` list, ``nprocs`` (int or list), ``size``, ``scenario``,
-    ``placement``, ``faults`` (+ ``fault_seed``), and ``derived``.  List
-    fields cross-product in P-major, model-minor order.  The app and the
-    models of every entry are checked before any cell runs, so a
-    typo fails the whole spec instead of running the valid cells first.
+    each entry names at least an ``app`` and takes only the
+    :data:`_SPEC_FIELDS`.  Every cell is built through :func:`_cell`
+    before any runs, so a bad entry fails the whole spec instead of
+    running the valid cells first.
     """
     import json as _json
-
-    from repro.serving import Cell
 
     try:
         with open(path) as fh:
@@ -719,35 +699,10 @@ def _serve_cells_from_spec(path: str) -> list:
         )
     cells = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "app" not in entry:
-            raise SystemExit(f"error: serve spec cell #{i} needs at least an 'app'")
-        app = entry["app"]
-        models = entry.get("models") or [entry.get("model", "mpi")]
         try:
-            check_models(app, models)
-        except ValueError as exc:
+            cells += _spec_cells(entry)
+        except (ValueError, TypeError) as exc:  # TypeError: a value of the wrong type
             raise SystemExit(f"error: serve spec cell #{i}: {exc}") from None
-        procs = entry.get("nprocs", 8)
-        procs = procs if isinstance(procs, list) else [procs]
-        if entry.get("scenario"):
-            workload = _resolve_scenario(entry["scenario"])
-        elif entry.get("size"):
-            workload = _workload(app, entry["size"])
-        else:
-            workload = None
-        faults = entry.get("faults")
-        if faults:
-            from repro.faults import resolve_profile
-
-            faults = resolve_profile(faults, seed=entry.get("fault_seed"))
-        for n in procs:
-            _check_nprocs(int(n))
-            for model in models:
-                cells.append(Cell(
-                    app, model, int(n), workload,
-                    entry.get("placement", "first-touch"),
-                    faults=faults, derived=entry.get("derived"),
-                ))
     return cells
 
 
@@ -869,7 +824,7 @@ _SHARED_FLAGS = {
     "models": (("-m", "--models"), {
         "default": ",".join(_MODELS), "help": "comma-separated programming models"}),
     "size": (("-s", "--size"), {
-        "choices": ("small", "medium", "large"), "default": "small"}),
+        "choices": _SIZES, "default": "small"}),
     "seed": (("--seed",), {
         "type": int, "default": None,
         "help": "scenario generator seed (bench-faults: overrides the "
@@ -935,26 +890,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _add_app_model(p, need_model=True):
-        """app/model as positionals or flags (``run adapt mpi`` == ``run --app adapt --model mpi``)."""
-        p.add_argument("app_pos", nargs="?", choices=_APPS, metavar="app",
-                       help="application (or use --app)")
-        if need_model:
-            p.add_argument("model_pos", nargs="?", choices=_MODELS, metavar="model",
-                           help="programming model (or use --model)")
-        p.add_argument("--app", choices=_APPS, help=argparse.SUPPRESS)
-        p.add_argument("--model", choices=_ALL_MODELS,
-                       help=argparse.SUPPRESS if need_model else "restrict to one model")
-        p.add_argument("-n", "-p", "--nprocs", type=int, default=8)
-
     p = sub.add_parser("run", help="run one configuration", parents=[_flags(
         "size", "placement", "machine_profile", "cache_dir", "serve")])
-    # free-form app/model: cmd_run validates with a helpful list (the app
-    # slot must also accept 'scenario' and, with --scenario, a model name)
+    # free-form app/model: _cell checks them (the app slot must also take
+    # a model name when --scenario names the app)
     p.add_argument("app_pos", nargs="?", metavar="app",
-                   help=f"application: {', '.join(_APPS)}, scenario (or use --app)")
+                   help=f"application: {', '.join(APP_MODELS)} (or use --app)")
     p.add_argument("model_pos", nargs="?", metavar="model",
-                   help=f"programming model: {', '.join(_ALL_MODELS)} (or use --model)")
+                   help=f"programming model: {', '.join(APP_MODELS['scenario'])} "
+                        "(or use --model)")
     p.add_argument("--app", help=argparse.SUPPRESS)
     p.add_argument("--model", help=argparse.SUPPRESS)
     p.add_argument("-n", "-p", "--nprocs", type=int, default=8)
@@ -980,24 +924,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--link-stats", action="store_true",
                    help="collect per-link contention counters and print the "
                         "hottest links (simulated time is unchanged)")
-    p.set_defaults(fn=cmd_run, size="medium")
-
-    p = sub.add_parser("trace", help="traced run: event summary + export",
-                       parents=[_flags("size")])
-    _add_app_model(p)
-    p.add_argument("-o", "--output", default=None, metavar="PATH",
-                   help="export the trace (.jsonl => JSONL, else Perfetto JSON)")
+    p.add_argument("--summary", action="store_true",
+                   help="trace the run and print its events per kind")
     p.add_argument("--phases", action="store_true",
-                   help="print the per-adaptation-phase traffic breakdown")
-    p.add_argument("--check-sync", action="store_true",
-                   help="run the trace-based synchronization checker")
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("comm-matrix", help="per-pair communication matrices",
-                       parents=[_flags("size")])
-    _add_app_model(p, need_model=False)
-    p.add_argument("--units", choices=("bytes", "messages"), default="bytes")
-    p.set_defaults(fn=cmd_comm_matrix)
+                   help="trace the run and print its per-adaptation-phase traffic")
+    p.add_argument("--comm-matrix", nargs="?", const="bytes", default=None,
+                   choices=("bytes", "messages"), metavar="UNITS",
+                   help="trace the run and print its per-pair traffic in UNITS "
+                        "(default bytes): rank x rank, or rank x home node under sas")
+    p.set_defaults(fn=cmd_run, size="medium")
 
     p = sub.add_parser("sweep", help="app x model x P sweep", parents=[_flags(
         *_SWEEP_FLAGS, "size", "machine_profile")])
@@ -1105,8 +1040,8 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[_flags("cache_dir", "jobs")])
     p.add_argument("spec", metavar="SPEC.json",
                    help="JSON list of cells (or {\"cells\": [...]}); each cell "
-                        "names an app plus model(s), nprocs, size/scenario, "
-                        "placement, faults, derived")
+                        "takes run's fields: app, model(s), nprocs, size/scenario, "
+                        "placement, faults, fault_seed, derived, machine_profile")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-cell deadline in seconds (pool mode only)")
     p.add_argument("--gc-stale", action="store_true",

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.mesh.mesh3d import EdgeKey, TetMesh, edge_key3
+from repro.mesh.mesh3d import EdgeKey, TetMesh, edge_key3, tet_edges_of
 
 __all__ = [
     "Refinement3DReport",
@@ -88,7 +88,7 @@ def classify_marks3d(tet: Tuple[int, int, int, int], marked: Set[EdgeKey]):
 
     kind in {"none", "green2", "green3", "green4", "red", "promote"}.
     """
-    edges = [e for e in _tet_edges(tet) if e in marked]
+    edges = [e for e in tet_edges_of(tet) if e in marked]
     k = len(edges)
     if k == 0:
         return ("none", None)
@@ -109,18 +109,6 @@ def classify_marks3d(tet: Tuple[int, int, int, int], marked: Set[EdgeKey]):
     return ("promote", None)
 
 
-def _tet_edges(tet) -> Tuple[EdgeKey, ...]:
-    a, b, c, d = tet
-    return (
-        edge_key3(a, b),
-        edge_key3(a, c),
-        edge_key3(a, d),
-        edge_key3(b, c),
-        edge_key3(b, d),
-        edge_key3(c, d),
-    )
-
-
 def close_marks3d(mesh: TetMesh, marked: Set[EdgeKey]) -> Set[EdgeKey]:
     """Promote every unsupported configuration to fully marked (fixpoint)."""
     marked = set(marked)
@@ -131,7 +119,7 @@ def close_marks3d(mesh: TetMesh, marked: Set[EdgeKey]) -> Set[EdgeKey]:
             tet = mesh.tet_verts(tid)
             kind, _ = classify_marks3d(tet, marked)
             if kind == "promote":
-                for e in _tet_edges(tet):
+                for e in tet_edges_of(tet):
                     if e not in marked:
                         marked.add(e)
                         changed = True
@@ -180,7 +168,7 @@ def refine3d(mesh: TetMesh, marked: Set[EdgeKey]) -> Refinement3DReport:
             )
         a, b, c, d = tet
         if kind == "red":
-            edges = _tet_edges(tet)
+            edges = tet_edges_of(tet)
             mids = {e: mesh.midpoint(e) for e in edges}
             mab = mids[edge_key3(a, b)]
             mac = mids[edge_key3(a, c)]
@@ -297,7 +285,7 @@ def refine_cascade3d(mesh: TetMesh, marked: Set[EdgeKey]) -> Refinement3DReport:
                 e in marked
                 for child in children
                 if mesh.alive[child]
-                for e in _tet_edges(mesh.tet_verts(child))
+                for e in tet_edges_of(mesh.tet_verts(child))
             ):
                 continue
             for child in children:

@@ -1,8 +1,8 @@
 """Analysis passes over a communication event stream.
 
 These are pure functions over a list of :class:`repro.obs.events.Event`;
-they power the ``comm-matrix`` and ``trace`` CLI commands and the
-cross-model comparison tables.  All three models reduce to the same
+they power ``run``'s ``--comm-matrix``, ``--summary`` and ``--phases``
+views and the cross-model comparison tables.  All three models reduce to the same
 matrices:
 
 * **MPI / SHMEM** — rank x rank flow matrices from ``msg_send`` / ``put`` /

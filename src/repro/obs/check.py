@@ -1,8 +1,7 @@
 """Trace-based synchronization checker.
 
 Two rules, both derived from the happens-before structure the traces make
-explicit (run via ``python -m repro run ... --check-sync`` or
-``python -m repro trace --check-sync``):
+explicit (run via ``python -m repro run ... --check-sync``):
 
 **SHMEM unfenced put** — a ``put`` is asynchronous: it is only guaranteed
 visible to a remote ``get`` after the *writer* has executed ``quiet`` /

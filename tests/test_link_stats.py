@@ -170,3 +170,16 @@ def test_format_link_contention_renders_table():
     assert len(lines) <= 6
     assert any("hub-out" in ln or "hub-in" in ln or "cube" in ln
                for ln in lines[1:])
+
+
+def test_served_link_stats_run_simulates_every_time(tmp_path, capsys):
+    """The store keeps no per-link counters, so a warm store serves none."""
+    from repro.__main__ import main
+
+    argv = ["run", "jacobi", "mpi", "-n", "4", "-s", "small", "--link-stats",
+            "--serve", "--cache-dir", str(tmp_path / "store")]
+    for _ in range(2):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "per-link contention (hottest first):" in out
+        assert "hub-in 0->0" in out

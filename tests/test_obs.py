@@ -373,25 +373,37 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["displayTimeUnit"] == "ns"
 
-    def test_comm_matrix_command(self, capsys):
+    def test_run_comm_matrix_view(self, capsys):
         from repro.__main__ import main
 
-        rc = main(["comm-matrix", "--app", "adapt", "-p", "4", "-s", "small"])
-        assert rc == 0
+        for model in ("mpi", "shmem", "sas"):
+            rc = main(["run", "adapt", model, "-p", "4", "-s", "small", "--comm-matrix"])
+            assert rc == 0
         captured = capsys.readouterr().out
         for model in ("mpi", "shmem", "sas"):
             assert f"under {model}" in captured
         assert "rank\\rank" in captured and "rank\\home" in captured
 
-    def test_trace_command_jsonl(self, tmp_path, capsys):
+    def test_run_summary_phases_and_jsonl_trace(self, tmp_path, capsys):
         from repro.__main__ import main
 
         out = tmp_path / "t.jsonl"
-        rc = main(["trace", "adapt", "sas", "-p", "2", "-s", "small",
-                   "-o", str(out), "--phases"])
+        rc = main(["run", "adapt", "sas", "-p", "2", "-s", "small",
+                   "--summary", "--phases", "--trace", str(out)])
         assert rc == 0
         events = from_jsonl(str(out))
         assert events and all(isinstance(ev, Event) for ev in events)
+
+    def test_comm_matrix_view_reads_the_profile_node_count(self, capsys):
+        from repro.__main__ import main
+
+        # fat-tree-cluster nodes hold 8 CPUs: P=16 has 2 home nodes, not 8
+        rc = main(["run", "adapt", "sas", "-p", "16", "-s", "small",
+                   "--machine-profile", "fat-tree-cluster", "--comm-matrix"])
+        assert rc == 0
+        header = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.strip().startswith("rank\\home"))
+        assert header.split()[1:] == ["0", "1"]
 
     def test_run_positional_still_works(self, capsys):
         from repro.__main__ import main

@@ -659,7 +659,34 @@ class TestServeCommand:
          r"serve spec cell #1: unknown model 'pvm'.*choose from"),
         ({"app": "jaccobi", "model": "mpi", "nprocs": 2},
          r"serve spec cell #1: unknown app 'jaccobi'.*choose from"),
-    ], ids=["model", "app"])
+        ({"app": "jacobi", "model": "mpi", "size": "huge"},
+         r"serve spec cell #1: unknown size 'huge'; choose from small"),
+        ({"app": "scenario", "model": "mpi", "size": "small"},
+         r"serve spec cell #1: app 'scenario' with scenario None"),
+        ({"app": "adapt", "model": "mpi", "scenario": "hotspot_drift"},
+         r"serve spec cell #1: app 'adapt' with scenario 'hotspot_drift'"),
+        ({"app": "jacobi", "model": "mpi", "placement": "bogus"},
+         r"serve spec cell #1: unknown placement policy 'bogus'"),
+        ({"app": "jacobi", "model": "mpi", "nprocs": 2.7},
+         r"serve spec cell #1: invalid processor count 2\.7"),
+        ({"app": "jacobi", "model": "mpi", "nprocs": True},
+         r"serve spec cell #1: invalid processor count True"),
+        ({"app": "jacobi", "model": "mpi", "nproc": 4},
+         r"serve spec cell #1: unknown field\(s\) 'nproc'; a cell takes app"),
+        ({"app": "jacobi", "model": "mpi", "machine_profile": "fat-tree"},
+         r"serve spec cell #1: unknown machine profile 'fat-tree'"),
+        ({"app": "jacobi", "model": "mpi", "faults": 3},
+         r"serve spec cell #1: fault profile spec must be"),
+        ({"app": "jacobi", "model": "mpi", "faults": "lossy", "fault_seed": "7"},
+         r"serve spec cell #1: fault_seed must be an integer, got '7'"),
+        ({"app": "jacobi", "model": "mpi", "derived": "on"},
+         r"serve spec cell #1: derived must be a dict"),
+        ({"app": "jacobi", "models": "mpi"},
+         r"serve spec cell #1: 'models' must be a list"),
+    ], ids=["model", "app", "size", "scenario-app-without-spec",
+            "scenario-on-adapt", "placement", "float-nprocs", "bool-nprocs",
+            "unknown-field", "machine-profile", "fault-type", "fault-seed-type",
+            "derived-type", "models-type"])
     def test_bad_spec_rejected_before_any_cell(self, entry, message, monkeypatch, tmp_path):
         import repro.harness.experiment as experiment
         from repro.__main__ import main
@@ -673,6 +700,22 @@ class TestServeCommand:
         with pytest.raises(SystemExit, match=message):
             main(["serve", str(spec), "--cache-dir", str(tmp_path / "store")])
         assert not (tmp_path / "store").exists()
+
+    def test_spec_takes_run_fields(self, tmp_path):
+        from repro.__main__ import _serve_cells_from_spec
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{
+            "app": "jacobi", "models": ["mpi", "sas"], "nprocs": [2, 4],
+            "size": "small", "machine_profile": "fat-tree-cluster",
+            "faults": "lossy", "fault_seed": 3, "placement": "round-robin",
+        }]))
+        cells = _serve_cells_from_spec(str(spec))
+        assert [c.label() for c in cells] == [
+            f"jacobi/{m}/P{n}@fat-tree-cluster" for n in (2, 4) for m in ("mpi", "sas")]
+        assert {(c.faults.name, c.faults.seed, c.placement) for c in cells} == \
+            {("lossy", 3, "round-robin")}
+        assert cells[0].workload == JacobiConfig(nx=64, ny=64, iters=10)
 
     def test_cold_then_warm_then_gc_stale(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
