@@ -11,7 +11,8 @@ and shape), so any change of value, order, dtype or length shows up.
 
 Inputs are the dual graphs of the meshes PLUM actually repartitions in
 generated scenarios (all four classes, two seeds, the last mesh each
-build hands to the balancer), a structured, a Delaunay and a tetrahedral
+build hands to the balancer) and in the high-P adapt build (P=64 and
+P=128, the last mesh likewise), a structured, a Delaunay and a tetrahedral
 mesh dual, a king's-move grid graph (degree 8, so contracted pairs share
 up to four parallel edges and the order of float sums shows), and a
 variant of each with non-integer vertex weights and non-integer
@@ -43,6 +44,8 @@ GOLDEN_PATH = os.path.join(
 SCENARIO_SEEDS = (0, 1)
 SCENARIO_SHAPE = {"mesh_n": 12, "phases": 3}
 SCENARIO_NPROCS = 8
+HIGHP_SHAPE = {"mesh_n": 10, "phases": 2, "solver_iters": 3}
+HIGHP_NPROCS = (64, 128)
 NPARTS = (2, 3, 7, 8, 16, 64)
 PARTITIONERS = ("rcb", "spectral", "multilevel")
 MATCH_SEEDS = (0, 3)
@@ -68,30 +71,48 @@ def graph_digest(graph) -> Dict[str, str]:
     return out
 
 
-def scenario_meshes() -> List[Tuple[str, object]]:
-    """The last mesh each generated scenario's build repartitions."""
+def last_plum_mesh(config, nprocs: int):
+    """The last mesh ``build_script(config, nprocs)`` hands to the balancer."""
     import repro.plum.balancer as balancer
     from repro.apps.adapt.script import build_script
-    from repro.workloads.synth import SCENARIO_CLASSES, generate_scenario, spec_config
 
     real = balancer.mesh_dual_graph
+    seen = []
+
+    def capture(mesh, weights=None):
+        seen.append(copy.deepcopy(mesh))
+        return real(mesh, weights)
+
+    balancer.mesh_dual_graph = capture
+    try:
+        build_script(config, nprocs)
+    finally:
+        balancer.mesh_dual_graph = real
+    return seen[-1]
+
+
+def scenario_meshes() -> List[Tuple[str, object]]:
+    """The last mesh each generated scenario's build repartitions."""
+    from repro.workloads.synth import SCENARIO_CLASSES, generate_scenario, spec_config
+
     out = []
     for cls in sorted(SCENARIO_CLASSES):
         for seed in SCENARIO_SEEDS:
-            seen = []
-
-            def capture(mesh, weights=None):
-                seen.append(copy.deepcopy(mesh))
-                return real(mesh, weights)
-
-            balancer.mesh_dual_graph = capture
-            try:
-                spec = generate_scenario(cls, seed=seed, **SCENARIO_SHAPE)
-                build_script(spec_config(spec), SCENARIO_NPROCS)
-            finally:
-                balancer.mesh_dual_graph = real
-            out.append((spec.name, seen[-1]))
+            spec = generate_scenario(cls, seed=seed, **SCENARIO_SHAPE)
+            out.append((spec.name, last_plum_mesh(spec_config(spec), SCENARIO_NPROCS)))
     return out
+
+
+def highp_meshes() -> List[Tuple[str, object]]:
+    """The last mesh the high-P adapt build repartitions, at each of its P.
+
+    This is the adapt benchmark's trajectory: its seeded shock width
+    shapes only the solver's forcing, not the meshes PLUM sees.
+    """
+    from repro.apps.adapt import AdaptConfig
+
+    config = AdaptConfig(**HIGHP_SHAPE)
+    return [(f"adapt-highp-p{p}", last_plum_mesh(config, p)) for p in HIGHP_NPROCS]
 
 
 def reweighted(graph):
@@ -131,7 +152,7 @@ def cases() -> List[Tuple[str, object]]:
     from repro.mesh.generator3d import structured_tet_mesh
     from repro.partition import mesh_dual_graph
 
-    meshes = scenario_meshes() + [
+    meshes = scenario_meshes() + highp_meshes() + [
         ("structured-12", structured_mesh(12)),
         ("delaunay-400", delaunay_mesh(400, seed=3)),
         ("tet-3", structured_tet_mesh(3)),
