@@ -289,10 +289,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     traced = any((args.trace, args.check_sync, args.summary, args.phases, args.comm_matrix))
     store = _store_from_args(args, default_on=False)
-    # events and per-link counters live only on the simulated machine (the
-    # store keeps neither), so traced and link-stats runs always simulate
-    kwargs = dict(cell.run_kwargs(), trace=traced,
-                  store=None if args.link_stats else store)
+    kwargs = dict(cell.run_kwargs(), trace=traced, store=store)
     if args.profile:
         from repro.sim.profile import PROFILER
 

@@ -257,8 +257,10 @@ def resolve_profile(
     (keys: ``p``, ``r``, ``loss``, ``loss_good``, ``stall``, ``nack``,
     ``seed``, ``aware``, and ``domains`` with ``+``-separated selectors),
     or an existing profile (passed through).  ``seed``, when given,
-    overrides the profile's seed.
+    overrides the profile's seed; it must be an ``int`` (not a ``bool``).
     """
+    if seed is not None and (type(seed) is bool or not isinstance(seed, int)):
+        raise ValueError(f"fault seed must be an integer, got {seed!r}")
     if spec is None:
         profile = PROFILES["none"]
     elif isinstance(spec, FaultProfile):

@@ -31,6 +31,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.machine.config import link_stats_on
 from repro.models.base import ProgramResult
 from repro.models.registry import MODEL_NAMES, run_program
 
@@ -267,8 +268,9 @@ def run_app(
             returns its stored :class:`repro.serving.ResultSummary`
             (bit-identical elapsed time, rank results and aggregate
             statistics) without simulating; a miss simulates, writes
-            back, and returns the live result.  Traced runs always
-            simulate (event streams are not stored).
+            back, and returns the live result.  Traced and link-stats
+            runs always simulate and store nothing (event streams and
+            per-link counters are not stored).
         machine_profile: hardware profile — a name from
             :data:`repro.machine.profiles.PROFILES` (e.g.
             ``"fat-tree-cluster"``), a
@@ -285,7 +287,7 @@ def run_app(
     """
     check_models(app, (model,))
     runner = APPS[app]
-    if store is not None and not trace:
+    if store is not None and not trace and not link_stats_on(derived):
         from repro.serving.scheduler import Cell
         from repro.serving.store import (
             resolve_workload,

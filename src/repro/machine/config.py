@@ -16,9 +16,9 @@ are what drive the programming-model comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
+from typing import Any, Dict, Mapping, Optional
 
-__all__ = ["MachineConfig", "TOPOLOGY_KINDS"]
+__all__ = ["MachineConfig", "TOPOLOGY_KINDS", "link_stats_on"]
 
 #: interconnect structures the machine model can express — the hypercube is
 #: the Origin2000 calibration; the others exist for the hardware profiles in
@@ -28,6 +28,11 @@ TOPOLOGY_KINDS = ("hypercube", "fattree", "dragonfly")
 #: ``derived`` switches that once selected a scalar reference implementation;
 #: the batched paths are the only ones now, so these keys are rejected
 _RETIRED_SWITCHES = ("engine_batch", "net_batch", "mpi_match_batch", "sas_batch")
+
+
+def link_stats_on(derived: Optional[Mapping[str, Any]]) -> bool:
+    """Whether ``derived["link_stats"]`` turns per-link counters on."""
+    return derived is not None and str(derived.get("link_stats", "off")).lower() in ("on", "1", "true")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.faults import FaultPlane
-from repro.machine.config import MachineConfig
+from repro.machine.config import MachineConfig, link_stats_on
 from repro.machine.stats import MachineStats
 from repro.machine.topology import Topology
 from repro.obs.events import EventLog
@@ -73,10 +73,7 @@ class Network:
         # (derived["link_stats"] = "on") — the default pays nothing beyond
         # one is-None check per transfer
         self.link_bytes: Optional[List[int]] = (
-            [0] * len(topology.links)
-            if str(self.config.derived.get("link_stats", "off")).lower()
-            in ("on", "1", "true")
-            else None
+            [0] * len(topology.links) if link_stats_on(self.config.derived) else None
         )
         # per-route (resources, router hops, static pipe ns, link indices) —
         # the hot-path view of the routing table

@@ -18,6 +18,10 @@
   agree with bit for bit, and :func:`reference_cost_ranges`, the
   boundary-by-boundary cost-zones split that
   :func:`repro.apps.nbody.common.cost_ranges` must agree with.
+* :func:`reference_fm_refine`, FM refinement that picks each move by a
+  scan over every vertex and derives every gain afresh at each pass,
+  which :func:`repro.partition.multilevel.fm_refine`'s heaps and carried
+  gains must agree with move for move.
 * :func:`reference_find_stale`, the stale entries of a sweep by one
   decode of every stored object, which
   :func:`repro.serving.invalidate.find_stale`'s identity-index lookup
@@ -201,6 +205,63 @@ def reference_cost_ranges(costs, nprocs):
         ranges.append((lo, hi))
         lo = hi
     return ranges
+
+
+def reference_fm_refine(graph, part, targets, passes, tol):
+    """Bisection ``part`` after FM refinement, as a new list.
+
+    Each pass derives every vertex's gain from its row (external minus
+    internal edge weight, summed in CSR order from 0.0; -inf for an
+    interior vertex).  Each move takes the first vertex, in id order, of
+    highest gain among the unlocked ones whose move keeps the other
+    side within ``tol`` times its target; it stops the pass if that gain
+    is below zero, or zero while the source side is within its target.
+    """
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
+    ewgt, vwgt = graph.ewgt.tolist(), graph.vwgt.tolist()
+    side = [int(s) for s in part]
+    n = len(side)
+    weights = [0.0, 0.0]
+    for v in range(n):
+        weights[side[v]] += vwgt[v]
+    limits = [t * tol for t in targets]
+
+    def row_gain(u):
+        ext = internal = 0.0
+        for i in range(xadj[u], xadj[u + 1]):
+            if side[adjncy[i]] == side[u]:
+                internal += ewgt[i]
+            else:
+                ext += ewgt[i]
+        return -np.inf if ext == 0.0 and internal > 0.0 else ext - internal
+
+    for _ in range(passes):
+        gain = [row_gain(u) for u in range(n)]
+        locked = [False] * n
+        moved = False
+        while True:
+            best, best_gain = 0, -np.inf
+            for v in range(n):
+                dest = 1 - side[v]
+                if locked[v] or weights[dest] + vwgt[v] > limits[dest]:
+                    continue
+                if gain[v] > best_gain:
+                    best, best_gain = v, gain[v]
+            if best_gain < 0:
+                break
+            src = side[best]
+            if best_gain == 0 and weights[src] <= targets[src]:
+                break
+            side[best] = 1 - src
+            weights[src] -= vwgt[best]
+            weights[1 - src] += vwgt[best]
+            locked[best] = moved = True
+            for u in adjncy[xadj[best] : xadj[best + 1]]:
+                if not locked[u]:
+                    gain[u] = row_gain(u)
+        if not moved:
+            break
+    return side
 
 
 def reference_find_stale(cells, store):

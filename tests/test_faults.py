@@ -64,6 +64,12 @@ def test_profiles_resolve():
     assert reseeded.seed == 99 and reseeded.drop_rate == PROFILES["lossy"].drop_rate
 
 
+@pytest.mark.parametrize("seed", ["x", 1.0, True])
+def test_resolve_refuses_a_non_integer_seed(seed):
+    with pytest.raises(ValueError, match=repr(seed).replace(".", r"\.")):
+        resolve_profile("lossy", seed=seed)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         FaultProfile(name="bad", drop_rate=1.5)

@@ -39,6 +39,20 @@ def test_links_empty_and_unallocated_by_default():
     assert result.stats.links == []
 
 
+def test_link_stats_run_bypasses_the_store(tmp_path):
+    """The store keeps no per-link counters, so a link-stats run always
+    simulates: the second call on one store returns links too."""
+    from repro.serving import ResultStore
+
+    store = ResultStore(tmp_path)
+    tiny = AdaptConfig(mesh_n=4, phases=2, solver_iters=1)
+    for _ in range(2):
+        result = run_app("adapt", "mpi", 4, tiny, derived=LINK_ON, store=store)
+        assert len(result.stats.links) == 4
+        format_link_contention(result.stats.links)
+    assert store.puts == store.hits == 0
+
+
 def test_link_stats_do_not_change_simulated_time():
     for model in ("mpi", "shmem", "sas"):
         off = run_app("adapt", model, 8, SMALL)

@@ -20,10 +20,13 @@ from repro.partition import (
 from repro.partition.metrics import part_weights
 from repro.partition.multilevel import (
     _BALANCE_TOL,
+    _FM_PASSES,
+    _pairwise_sum,
     coarsen_graph,
     fm_refine,
     heavy_edge_matching,
 )
+from tests.reference import reference_fm_refine
 
 
 def path_graph(n: int) -> Graph:
@@ -191,6 +194,14 @@ class TestMultilevelInternals:
         fm_refine(g, part, (half, half))
         assert edge_cut(g, part) <= before
 
+    def test_fm_gain_tie_across_sides_goes_to_lowest_id(self):
+        # two edges cut the same way: in each, both ends gain 1 and the
+        # lower id sits on side 1, so a side-0-first pick would flip it
+        g = Graph.from_adjacency({0: [1], 1: [0], 2: [3], 3: [2]})
+        part = np.array([1, 0, 1, 0])
+        assert reference_fm_refine(g, part, (4.0, 4.0), _FM_PASSES, _BALANCE_TOL) == [0, 0, 0, 0]
+        assert fm_refine(g, part, (4.0, 4.0)).tolist() == [0, 0, 0, 0]
+
     def test_multilevel_beats_random(self):
         m = delaunay_mesh(150, seed=5)
         g, _ = mesh_dual_graph(m)
@@ -223,14 +234,14 @@ _WEIGHT = st.floats(min_value=0.1, max_value=10.0, allow_nan=False, allow_infini
 
 
 @st.composite
-def weighted_graphs(draw, max_n: int = 40) -> Graph:
+def weighted_graphs(draw, max_n: int = 40, weight=_WEIGHT) -> Graph:
     """A connected graph: a random spanning tree plus random chords, with
-    non-integer vertex weights, symmetric edge weights and coordinates."""
+    ``weight`` vertex weights, symmetric edge weights and coordinates."""
     n = draw(st.integers(min_value=2, max_value=max_n))
     tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
     edges = sorted({(min(a, b), max(a, b)) for a, b in tree + chords if a != b})
-    ewgt = draw(st.lists(_WEIGHT, min_size=len(edges), max_size=len(edges)))
+    ewgt = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
     rows = [[] for _ in range(n)]
     for (a, b), w in zip(edges, ewgt):
         rows[a].append((b, w))
@@ -240,7 +251,7 @@ def weighted_graphs(draw, max_n: int = 40) -> Graph:
     return Graph(
         xadj,
         [u for u, _ in entries],
-        vwgt=draw(st.lists(_WEIGHT, min_size=n, max_size=n)),
+        vwgt=draw(st.lists(weight, min_size=n, max_size=n)),
         ewgt=[w for _, w in entries],
         coords=np.column_stack([np.arange(n, dtype=float), np.zeros(n)]),
     )
@@ -269,6 +280,39 @@ def test_property_fm_never_raises_cut_or_breaks_balance(graph, data):
     for side in (0, 1):
         if before_w[side] <= limits[side]:
             assert _close_le(after_w[side], limits[side])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    # small integer weights make equal gains, so ties across sides show
+    graph=st.one_of(weighted_graphs(), weighted_graphs(weight=st.sampled_from([1.0, 2.0, 3.0]))),
+    data=st.data(),
+)
+def test_property_fm_matches_full_scan_reference(graph, data):
+    """The heaps pick every move the full scan picks, including when the
+    best-gain vertices are too heavy to move and must be set aside."""
+    n = graph.num_vertices
+    part = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    if data.draw(st.booleans()):
+        # each side's limit sits at most one heaviest vertex above its weight
+        weights = part_weights(graph, part, 2)
+        heaviest = float(graph.vwgt.max())
+        slack = [data.draw(st.floats(min_value=0.0, max_value=heaviest)) for _ in range(2)]
+        targets = tuple((weights[s] + slack[s]) / _BALANCE_TOL for s in (0, 1))
+    else:
+        frac = data.draw(st.floats(min_value=0.2, max_value=0.8))
+        total = graph.total_weight()
+        targets = (frac * total, (1 - frac) * total)
+    passes = data.draw(st.integers(min_value=1, max_value=_FM_PASSES))
+    expected = reference_fm_refine(graph, part, targets, passes, _BALANCE_TOL)
+    assert fm_refine(graph, part, targets, passes).tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(_WEIGHT, max_size=300))
+def test_property_pairwise_sum_is_numpy_sum(values):
+    """Subgraph totals on lists repeat NumPy's summation order exactly."""
+    assert _pairwise_sum(values) == float(np.asarray(values, dtype=np.float64).sum())
 
 
 @settings(max_examples=60, deadline=None)
