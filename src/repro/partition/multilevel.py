@@ -96,9 +96,7 @@ def _contract(graph: Graph, match: np.ndarray, with_coords: bool) -> Tuple[Graph
     coords = None
     if with_coords and graph.coords is not None:
         counts = np.bincount(cmap, minlength=nc).astype(np.float64)
-        coords = np.column_stack(
-            [np.bincount(cmap, weights=c, minlength=nc) for c in graph.coords.T]
-        ).reshape(nc, graph.coords.shape[1])
+        coords = np.column_stack([np.bincount(cmap, weights=c, minlength=nc) for c in graph.coords.T])
         coords /= counts[:, None]
     cv = cmap[graph.sources()]
     cu = cmap[graph.adjncy]
